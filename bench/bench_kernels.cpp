@@ -8,6 +8,7 @@
 // the measuring time (the CI smoke lane).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -29,6 +30,8 @@
 #include "graph/order.h"
 #include "la/backend.h"
 #include "la/bsr.h"
+#include "la/dense.h"
+#include "la/multivec.h"
 #include "la/smoother_kernels.h"
 #include "la/smoothers.h"
 #include "mesh/generate.h"
@@ -519,6 +522,41 @@ int run_format_comparison() {
     mf_s.apply(x_s, y_s);
     benchmark::DoNotOptimize(y_s.data());
   });
+  // The blocked CSR kernel at widths 1 and 8 on the same matrix (ns per
+  // call; per stored nonzero and column below), and the dense LDL^T
+  // block solve at the paper's block-Jacobi block size for 1 and 8
+  // columns — the two kernels of a warm solve's smoother and coarse solve.
+  auto spmm_ns = [&](int k) {
+    la::MultiVec xk(a.ncols, k), yk(a.nrows, k);
+    for (int j = 0; j < k; ++j) std::copy(x.begin(), x.end(), xk.col_data(j));
+    return best_mean_ns(reps, iters, [&] {
+      a.spmm(xk, yk);
+      benchmark::DoNotOptimize(yk.data());
+    });
+  };
+  const double spmm1 = spmm_ns(1);
+  const double spmm8 = spmm_ns(8);
+  const double nnz = static_cast<double>(a.nnz());
+  const idx nblk = 167;
+  la::DenseMatrix blk(nblk, nblk);
+  for (idx j = 0; j < nblk; ++j) {
+    for (idx i = j + 1; i < nblk; ++i) {
+      blk(i, j) = blk(j, i) = rng.next_real() - 0.5;
+    }
+    blk(j, j) = nblk;
+  }
+  const la::DenseLdlt ldlt(blk);
+  auto ldlt_ns = [&](int k) {
+    std::vector<real> bk(static_cast<std::size_t>(nblk) * k);
+    for (real& v : bk) v = rng.next_real() - 0.5;
+    std::vector<real> xk(bk.size());
+    return best_mean_ns(reps, 4 * iters, [&] {
+      ldlt.solve_mv(bk, xk, k, nblk);
+      benchmark::DoNotOptimize(xk.data());
+    });
+  };
+  const double ldlt1 = ldlt_ns(1);
+  const double ldlt8 = ldlt_ns(8);
   common::set_kernel_threads(0);
 
   const double spmv_speedup = csr_spmv / bsr_spmv;
@@ -537,13 +575,16 @@ int run_format_comparison() {
       "  bytes/dof csr %8.1f     bsr3 %8.1f     mf %8.1f\n"
       "fine-level scale point (%d unknowns):\n"
       "  ns/dof    csr %8.2f     mf %8.2f\n"
-      "  bytes/dof csr %8.1f     mf %8.1f  (mf %s csr)\n",
+      "  bytes/dof csr %8.1f     mf %8.1f  (mf %s csr)\n"
+      "csr spmm    k=1 %8.3f ns/nnz  k=8 %8.3f ns/nnz/col  (spmv %.3f)\n"
+      "ldlt solve  n=%d  k=1 %8.0f ns  k=8 %8.0f ns (%.0f ns/col)\n",
       a.nrows, static_cast<long long>(a.nnz()), csr_spmv, bsr_spmv,
       spmv_speedup, mf_apply, csr_spmv / mf_apply, csr_sweep, bsr_sweep,
       sweep_speedup, csr_spmv / a.nrows, bsr_spmv / a.nrows,
       mf_apply / a.nrows, csr_bytes, bsr_bytes, mf_bytes, a_s.nrows,
       csr_spmv_s / a_s.nrows, mf_apply_s / a_s.nrows, csr_bytes_s,
-      mf_bytes_s, mf_bytes_s < csr_bytes_s ? "<" : ">=");
+      mf_bytes_s, mf_bytes_s < csr_bytes_s ? "<" : ">=", spmm1 / nnz,
+      spmm8 / (8 * nnz), csr_spmv / nnz, nblk, ldlt1, ldlt8, ldlt8 / 8);
 
   std::FILE* json = std::fopen("BENCH_kernels.json", "w");
   if (json == nullptr) {
@@ -563,13 +604,18 @@ int run_format_comparison() {
                "\"mf\": %.1f},\n"
                "  \"mf_scale\": {\"unknowns\": %d, "
                "\"csr_ns_per_dof\": %.3f, \"mf_ns_per_dof\": %.3f, "
-               "\"csr_bytes_per_dof\": %.1f, \"mf_bytes_per_dof\": %.1f}\n"
+               "\"csr_bytes_per_dof\": %.1f, \"mf_bytes_per_dof\": %.1f},\n"
+               "  \"csr_spmm_k1\": {\"ns\": %.1f, \"ns_per_nnz\": %.3f},\n"
+               "  \"csr_spmm_k8\": {\"ns\": %.1f, \"ns_per_nnz\": %.3f},\n"
+               "  \"ldlt_solve\": {\"n\": %d, \"k1_ns\": %.1f, "
+               "\"k8_ns\": %.1f}\n"
                "}\n",
                a.nrows, static_cast<long long>(a.nnz()), csr_spmv, bsr_spmv,
                spmv_speedup, csr_sweep, bsr_sweep, sweep_speedup, mf_apply,
                mf_apply / a.nrows, csr_spmv / mf_apply, csr_bytes, bsr_bytes,
                mf_bytes, a_s.nrows, csr_spmv_s / a_s.nrows,
-               mf_apply_s / a_s.nrows, csr_bytes_s, mf_bytes_s);
+               mf_apply_s / a_s.nrows, csr_bytes_s, mf_bytes_s, spmm1,
+               spmm1 / nnz, spmm8, spmm8 / (8 * nnz), nblk, ldlt1, ldlt8);
   std::fclose(json);
   std::printf("wrote BENCH_kernels.json\n");
   return 0;

@@ -6,8 +6,49 @@
 # By default only tier-1 tests run (`ctest -L tier1`) — the fast PR gate.
 # Pass --full to also run slow-labelled tests in both configurations, the
 # nightly-style full lane.
+#
+# `ci/check.sh --self-test` checks only the doc-only skip decision below
+# against sample file lists and exits (it also runs as a tier-1 ctest).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# True when the newline-separated file list on stdin is non-empty and every
+# path is documentation: a Markdown file or the top-level LICENSE. Build
+# files (CMakeLists.txt, presets), scripts and sources never are.
+doc_only() {
+  local changed
+  changed="$(cat)"
+  [[ -n "${changed}" ]] &&
+    ! grep -qvE '(^|/)[^/]+\.md$|^LICENSE$' <<<"${changed}"
+}
+
+if [[ "${1:-}" == "--self-test" ]]; then
+  fail=0
+  expect() {  # expect skip|gate <file list>
+    local got=gate
+    if doc_only <<<"$2"; then got=skip; fi
+    if [[ "${got}" != "$1" ]]; then
+      echo "ci/check.sh --self-test: '${2//$'\n'/ }' gave ${got}, want $1"
+      fail=1
+    fi
+  }
+  expect skip 'README.md'
+  expect skip $'CHANGES.md\nsolverbench/README.md'
+  expect skip 'LICENSE'
+  expect gate 'CMakeLists.txt'
+  expect gate 'tests/CMakeLists.txt'
+  expect gate $'README.md\nsrc/CMakeLists.txt'
+  expect gate 'CMakePresets.json'
+  expect gate 'ci/check.sh'
+  expect gate 'src/la/csr.cpp'
+  expect gate 'notes.txt'
+  expect gate 'docs.md.in'
+  expect gate 'src/LICENSE'
+  expect gate ''
+  if [[ "${fail}" != 0 ]]; then exit 1; fi
+  echo "ci/check.sh --self-test: OK"
+  exit 0
+fi
 
 label_args=(-L tier1)
 if [[ "${1:-}" == "--full" ]]; then
@@ -24,9 +65,7 @@ if [[ "${PROM_CI_NO_DOC_SKIP:-0}" != "1" && -z "$(git status --porcelain 2>/dev/
   base="$(git merge-base HEAD origin/main 2>/dev/null ||
           git rev-parse HEAD~1 2>/dev/null || true)"
   if [[ -n "${base}" && "${base}" != "$(git rev-parse HEAD)" ]]; then
-    changed="$(git diff --name-only "${base}" HEAD)"
-    if [[ -n "${changed}" ]] &&
-       ! grep -qvE '(\.md|\.txt|^LICENSE)$' <<<"${changed}"; then
+    if git diff --name-only "${base}" HEAD | doc_only; then
       echo "ci/check.sh: doc-only diff ${base:0:12}..HEAD — skipping gate"
       exit 0
     fi

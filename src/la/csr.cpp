@@ -1,6 +1,7 @@
 #include "la/csr.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -25,36 +26,92 @@ idx transpose_grain(idx nrows) {
   return std::max<idx>(2048, (nrows + 7) / 8);
 }
 
+/// Columns j0 .. j0+K-1 of the row core over entries [tb, te) of the row
+/// list. K is a compile-time width and the width loops are fully unrolled
+/// (GCC does not do so on its own at -O2 for K = 4 or 8), so the K
+/// accumulators live in registers. Each column starts from 0 and adds its
+/// terms in the row's sorted-column order, exactly as a single-vector
+/// loop would, so its bits do not depend on K or on which chunk it lands
+/// in.
+template <int K, class Emit>
+void rows_fixed(const Csr& a, const real* const* xp, int j0,
+                std::span<const idx> rows, idx tb, idx te, const Emit& emit) {
+  for (idx t = tb; t < te; ++t) {
+    const idx i = rows.empty() ? t : rows[t];
+    real acc[K];
+#pragma GCC unroll 8
+    for (int j = 0; j < K; ++j) acc[j] = 0;
+    for (nnz_t kk = a.rowptr[i]; kk < a.rowptr[i + 1]; ++kk) {
+      const real v = a.vals[kk];
+      const idx c = a.colidx[kk];
+#pragma GCC unroll 8
+      for (int j = 0; j < K; ++j) acc[j] += v * xp[j0 + j][c];
+    }
+#pragma GCC unroll 8
+    for (int j = 0; j < K; ++j) emit(i, j0 + j, acc[j]);
+  }
+}
+
+/// The one CSR row kernel behind every product and residual, single- and
+/// multi-vector: `xp` holds the k input columns and `emit(i, j, sum)`
+/// stores row i's result for column j. Each chunk of rows runs the
+/// fixed-width instances for_width_chunks picks. An empty `rows` means
+/// "all rows in order"; a non-empty list restricts the kernel to those
+/// rows (callers of the *_rows API return early on an empty list).
+template <class Emit>
+void rows_core(const Csr& a, std::span<const real* const> xp,
+               std::span<const idx> rows, const Emit& emit) {
+  const int k = static_cast<int>(xp.size());
+  const idx n = rows.empty() ? a.nrows : static_cast<idx>(rows.size());
+  common::parallel_for(0, n, kRowGrain, [&](idx tb, idx te) {
+    for_width_chunks(k, [&](auto width, int j0) {
+      rows_fixed<decltype(width)::value>(a, xp.data(), j0, rows, tb, te,
+                                         emit);
+    });
+    nnz_t sub = 0;
+    if (rows.empty()) {
+      sub = a.rowptr[te] - a.rowptr[tb];
+    } else {
+      for (idx t = tb; t < te; ++t) {
+        sub += a.rowptr[rows[t] + 1] - a.rowptr[rows[t]];
+      }
+    }
+    count_flops(2 * sub * k);
+  });
+}
+
+void check_shapes(const Csr& a, std::span<const real> x,
+                  std::span<const real> y) {
+  PROM_CHECK(static_cast<idx>(x.size()) == a.ncols &&
+             static_cast<idx>(y.size()) == a.nrows);
+}
+
+void check_mv_shapes(const Csr& a, const MultiVec& x, const MultiVec& y) {
+  PROM_CHECK(x.rows() == a.ncols && y.rows() == a.nrows &&
+             x.cols() == y.cols() && x.cols() >= 1);
+}
+
+/// Column pointers of a MultiVec (const or not), in the form rows_core
+/// and the emits take them.
+template <class V>
+auto col_ptrs(V& v) {
+  std::array<decltype(v.col_data(0)), kMaxRhsBlock> p{};
+  for (int j = 0; j < v.cols(); ++j) p[j] = v.col_data(j);
+  return p;
+}
+
 }  // namespace
 
 void Csr::spmv(std::span<const real> x, std::span<real> y) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == ncols &&
-             static_cast<idx>(y.size()) == nrows);
-  common::parallel_for(0, nrows, kRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real sum = 0;
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        sum += vals[k] * x[colidx[k]];
-      }
-      y[i] = sum;
-    }
-  });
-  count_flops(2 * nnz());
+  check_shapes(*this, x, y);
+  const real* xp = x.data();
+  rows_core(*this, {&xp, 1}, {}, [&](idx i, int, real sum) { y[i] = sum; });
 }
 
 void Csr::spmv_add(std::span<const real> x, std::span<real> y) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == ncols &&
-             static_cast<idx>(y.size()) == nrows);
-  common::parallel_for(0, nrows, kRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real sum = 0;
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        sum += vals[k] * x[colidx[k]];
-      }
-      y[i] += sum;
-    }
-  });
-  count_flops(2 * nnz());
+  check_shapes(*this, x, y);
+  const real* xp = x.data();
+  rows_core(*this, {&xp, 1}, {}, [&](idx i, int, real sum) { y[i] += sum; });
 }
 
 void Csr::spmv_transpose(std::span<const real> x, std::span<real> y) const {
@@ -102,122 +159,50 @@ void Csr::spmv_transpose(std::span<const real> x, std::span<real> y) const {
 
 void Csr::residual(std::span<const real> b, std::span<const real> x,
                    std::span<real> r) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == ncols &&
-             static_cast<idx>(b.size()) == nrows &&
-             static_cast<idx>(r.size()) == nrows);
-  common::parallel_for(0, nrows, kRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real sum = 0;
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        sum += vals[k] * x[colidx[k]];
-      }
-      r[i] = b[i] - sum;
-    }
-  });
-  count_flops(2 * nnz() + nrows);
+  check_shapes(*this, x, r);
+  PROM_CHECK(static_cast<idx>(b.size()) == nrows);
+  const real* xp = x.data();
+  rows_core(*this, {&xp, 1}, {},
+            [&](idx i, int, real sum) { r[i] = b[i] - sum; });
+  count_flops(nrows);
 }
 
 void Csr::spmv_rows(std::span<const real> x, std::span<real> y,
                     std::span<const idx> rows) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == ncols &&
-             static_cast<idx>(y.size()) == nrows);
-  const idx n = static_cast<idx>(rows.size());
-  common::parallel_for(0, n, kRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = rows[t];
-      real sum = 0;
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        sum += vals[k] * x[colidx[k]];
-      }
-      y[i] = sum;
-      sub += rowptr[i + 1] - rowptr[i];
-    }
-    count_flops(2 * sub);
-  });
+  check_shapes(*this, x, y);
+  if (rows.empty()) return;
+  const real* xp = x.data();
+  rows_core(*this, {&xp, 1}, rows, [&](idx i, int, real sum) { y[i] = sum; });
 }
 
 void Csr::residual_rows(std::span<const real> b, std::span<const real> x,
                         std::span<real> r, std::span<const idx> rows) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == ncols &&
-             static_cast<idx>(b.size()) == nrows &&
-             static_cast<idx>(r.size()) == nrows);
-  const idx n = static_cast<idx>(rows.size());
-  common::parallel_for(0, n, kRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = rows[t];
-      real sum = 0;
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        sum += vals[k] * x[colidx[k]];
-      }
-      r[i] = b[i] - sum;
-      sub += rowptr[i + 1] - rowptr[i];
-    }
-    count_flops(2 * sub + (te - tb));
-  });
+  check_shapes(*this, x, r);
+  PROM_CHECK(static_cast<idx>(b.size()) == nrows);
+  if (rows.empty()) return;
+  const real* xp = x.data();
+  rows_core(*this, {&xp, 1}, rows,
+            [&](idx i, int, real sum) { r[i] = b[i] - sum; });
+  count_flops(static_cast<std::int64_t>(rows.size()));
 }
-
-namespace {
-
-/// Shared core of the blocked kernels: per row, one pass over the nonzeros
-/// feeds one accumulator per column, each updated in the same sorted-column
-/// order as spmv — so every column's bits match the single-vector kernel.
-/// `emit(i, j, sum)` stores the row result for column j.
-template <class Emit>
-void spmm_rows_core(const Csr& a, const MultiVec& x, std::span<const idx> rows,
-                    const Emit& emit) {
-  const int k = x.cols();
-  const real* xp[kMaxRhsBlock];
-  for (int j = 0; j < k; ++j) xp[j] = x.col_data(j);
-  // An empty `rows` means "all rows in order" (the dense spmm/residual_mv
-  // case); a non-empty list reproduces spmv_rows' subset semantics.
-  const idx n = rows.empty() ? a.nrows : static_cast<idx>(rows.size());
-  common::parallel_for(0, n, kRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = rows.empty() ? t : rows[t];
-      real acc[kMaxRhsBlock];
-      for (int j = 0; j < k; ++j) acc[j] = 0;
-      for (nnz_t kk = a.rowptr[i]; kk < a.rowptr[i + 1]; ++kk) {
-        const real v = a.vals[kk];
-        const idx c = a.colidx[kk];
-        for (int j = 0; j < k; ++j) acc[j] += v * xp[j][c];
-      }
-      for (int j = 0; j < k; ++j) emit(i, j, acc[j]);
-      sub += a.rowptr[i + 1] - a.rowptr[i];
-    }
-    count_flops(2 * sub * k);
-  });
-}
-
-void check_mv_shapes(const Csr& a, const MultiVec& x, const MultiVec& y) {
-  PROM_CHECK(x.rows() == a.ncols && y.rows() == a.nrows &&
-             x.cols() == y.cols() && x.cols() >= 1);
-}
-
-}  // namespace
 
 void Csr::spmm(const MultiVec& x, MultiVec& y) const {
   check_mv_shapes(*this, x, y);
-  real* yp[kMaxRhsBlock];
-  for (int j = 0; j < x.cols(); ++j) yp[j] = y.col_data(j);
-  spmm_rows_core(*this, x, {},
-                 [&](idx i, int j, real sum) { yp[j][i] = sum; });
+  const auto xp = col_ptrs(x);
+  const auto yp = col_ptrs(y);
+  rows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, {},
+            [&](idx i, int j, real sum) { yp[j][i] = sum; });
 }
 
 void Csr::residual_mv(const MultiVec& b, const MultiVec& x,
                       MultiVec& r) const {
   check_mv_shapes(*this, x, r);
   PROM_CHECK(b.rows() == nrows && b.cols() == x.cols());
-  const real* bp[kMaxRhsBlock];
-  real* rp[kMaxRhsBlock];
-  for (int j = 0; j < x.cols(); ++j) {
-    bp[j] = b.col_data(j);
-    rp[j] = r.col_data(j);
-  }
-  spmm_rows_core(*this, x, {},
-                 [&](idx i, int j, real sum) { rp[j][i] = bp[j][i] - sum; });
+  const auto xp = col_ptrs(x);
+  const auto bp = col_ptrs(b);
+  const auto rp = col_ptrs(r);
+  rows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, {},
+            [&](idx i, int j, real sum) { rp[j][i] = bp[j][i] - sum; });
   count_flops(static_cast<std::int64_t>(nrows) * x.cols());
 }
 
@@ -225,10 +210,10 @@ void Csr::spmm_rows(const MultiVec& x, MultiVec& y,
                     std::span<const idx> rows) const {
   check_mv_shapes(*this, x, y);
   if (rows.empty()) return;
-  real* yp[kMaxRhsBlock];
-  for (int j = 0; j < x.cols(); ++j) yp[j] = y.col_data(j);
-  spmm_rows_core(*this, x, rows,
-                 [&](idx i, int j, real sum) { yp[j][i] = sum; });
+  const auto xp = col_ptrs(x);
+  const auto yp = col_ptrs(y);
+  rows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, rows,
+            [&](idx i, int j, real sum) { yp[j][i] = sum; });
 }
 
 void Csr::residual_mv_rows(const MultiVec& b, const MultiVec& x, MultiVec& r,
@@ -236,14 +221,11 @@ void Csr::residual_mv_rows(const MultiVec& b, const MultiVec& x, MultiVec& r,
   check_mv_shapes(*this, x, r);
   PROM_CHECK(b.rows() == nrows && b.cols() == x.cols());
   if (rows.empty()) return;
-  const real* bp[kMaxRhsBlock];
-  real* rp[kMaxRhsBlock];
-  for (int j = 0; j < x.cols(); ++j) {
-    bp[j] = b.col_data(j);
-    rp[j] = r.col_data(j);
-  }
-  spmm_rows_core(*this, x, rows,
-                 [&](idx i, int j, real sum) { rp[j][i] = bp[j][i] - sum; });
+  const auto xp = col_ptrs(x);
+  const auto bp = col_ptrs(b);
+  const auto rp = col_ptrs(r);
+  rows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, rows,
+            [&](idx i, int j, real sum) { rp[j][i] = bp[j][i] - sum; });
   count_flops(static_cast<std::int64_t>(rows.size()) * x.cols());
 }
 

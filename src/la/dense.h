@@ -55,8 +55,14 @@ class DenseLdlt {
   bool ok() const { return ok_; }
   idx n() const { return n_; }
 
-  /// Solves A x = b. Requires ok().
+  /// Solves A x = b. Requires ok(). The k = 1 case of solve_mv.
   void solve(std::span<const real> b, std::span<real> x) const;
+
+  /// Solves A X = B for k columns stored at stride `ld` >= n(): column j
+  /// of B is b[j*ld, j*ld + n), likewise for X. Column j's bits equal
+  /// solve() on that column alone. b and x may be the same storage.
+  void solve_mv(std::span<const real> b, std::span<real> x, int k,
+                idx ld) const;
 
  private:
   idx n_ = 0;
@@ -79,13 +85,19 @@ class DenseLu {
   bool ok() const { return ok_; }
   idx n() const { return n_; }
 
-  /// Solves A x = b. Requires ok().
+  /// Solves A x = b. Requires ok(). The k = 1 case of solve_mv.
   void solve(std::span<const real> b, std::span<real> x) const;
+
+  /// Solves A X = B for k columns at stride `ld` >= n(), with DenseLdlt's
+  /// layout and bitwise per-column guarantee.
+  void solve_mv(std::span<const real> b, std::span<real> x, int k,
+                idx ld) const;
 
  private:
   idx n_ = 0;
   bool ok_ = false;
   DenseMatrix lu_;          // packed L (unit diagonal implied) and U
+  DenseMatrix ut_;          // U transposed: column i is row i of U
   std::vector<idx> piv_;    // row of the k-th pivot
 };
 

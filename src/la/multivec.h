@@ -7,6 +7,7 @@
 #pragma once
 
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/config.h"
@@ -19,6 +20,26 @@ namespace prom::la {
 /// wider requests are chunked by the caller (app::SolveService honours
 /// PROM_RHS_BLOCK <= kMaxRhsBlock).
 inline constexpr int kMaxRhsBlock = 16;
+
+/// Splits k columns into chunks of 8, 4, 2 and 1, in column order, and
+/// calls `f(std::integral_constant<int, K>{}, j0)` for each chunk
+/// [j0, j0 + K). Blocked kernels take K as a compile-time width so their
+/// per-column accumulators live in registers; columns never interact, so
+/// the split cannot change any column's bits.
+template <class F>
+void for_width_chunks(int k, const F& f) {
+  int j = 0;
+  for (; k - j >= 8; j += 8) f(std::integral_constant<int, 8>{}, j);
+  if (k - j >= 4) {
+    f(std::integral_constant<int, 4>{}, j);
+    j += 4;
+  }
+  if (k - j >= 2) {
+    f(std::integral_constant<int, 2>{}, j);
+    j += 2;
+  }
+  if (k - j >= 1) f(std::integral_constant<int, 1>{}, j);
+}
 
 class MultiVec {
  public:

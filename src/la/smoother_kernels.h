@@ -262,20 +262,24 @@ void block_jacobi_sweep_mv(const B& be, const Op& a,
   common::parallel_for(
       0, static_cast<idx>(blocks.size()), kSmootherBlockGrain,
       [&](idx kb, idx ke) {
-        std::vector<real> rb, xb;
+        // Gather the block's residual for every column (column j at
+        // stride nb), solve all columns in one pass, scatter back.
+        std::vector<real> rb;
         for (idx k = kb; k < ke; ++k) {
           const auto& block = blocks[k];
-          rb.resize(block.size());
-          xb.resize(block.size());
+          const std::size_t nb = block.size();
+          rb.resize(nb * ncol);
           for (int j = 0; j < ncol; ++j) {
             const real* rj = r.col_data(j);
-            real* xj = x.col_data(j);
-            for (std::size_t li = 0; li < block.size(); ++li) {
-              rb[li] = rj[block[li]];
+            for (std::size_t li = 0; li < nb; ++li) {
+              rb[j * nb + li] = rj[block[li]];
             }
-            factors[k].solve(rb, xb);
-            for (std::size_t li = 0; li < block.size(); ++li) {
-              xj[block[li]] += omega * xb[li];
+          }
+          factors[k].solve_mv(rb, rb, ncol, static_cast<idx>(nb));
+          for (int j = 0; j < ncol; ++j) {
+            real* xj = x.col_data(j);
+            for (std::size_t li = 0; li < nb; ++li) {
+              xj[block[li]] += omega * rb[j * nb + li];
             }
           }
         }
