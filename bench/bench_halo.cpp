@@ -1,15 +1,14 @@
 // Halo-exchange rank × threads sweep: fine-level SpMV on the box-problem
-// stiffness, synchronous rank-ordered drain vs the latency-hiding
-// schedule (post sends, compute interior rows, drain peers in arrival
-// order, finish boundary rows). Both paths produce bitwise-identical
-// results (gated by test_halo); this harness measures what the overlap
-// buys and where the time goes, reading every number out of the obs
-// tracer: the SpMV loop runs under "phase.halo_spmv" and the plan's
+// stiffness under the latency-hiding schedule (post sends, compute
+// interior rows, drain peers in arrival order, finish boundary rows; its
+// bits are gated by test_halo). This harness measures where the time
+// goes, reading every number out of the obs tracer: the SpMV loop runs
+// under "phase.halo_spmv" and the plan's
 // "halo.post"/"halo.interior"/"halo.finish"/"halo.boundary" spans break
-// the overlapped wall into its pieces. Emits BENCH_halo.json with the
-// interior/boundary row split per configuration, so the speedup can be
-// judged against the boundary fraction (overlap pays off where interior
-// work dominates — the paper's surface-to-volume argument).
+// the wall into its pieces. Emits BENCH_halo.json with the
+// interior/boundary row split per configuration, so the per-phase walls
+// can be judged against the boundary fraction (overlap pays off where
+// interior work dominates — the paper's surface-to-volume argument).
 //
 // Environment: PROM_BENCH_FULL=1 enlarges the problem; PROM_BENCH_SMOKE=1
 // shrinks it (the CI smoke lane).
@@ -24,7 +23,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "dla/dist_mg.h"
-#include "dla/halo.h"
 #include "fem/assembly.h"
 #include "mg/hierarchy.h"
 #include "obs/report.h"
@@ -61,7 +59,6 @@ int main() {
     int threads;
     std::int64_t interior_rows;
     std::int64_t boundary_rows;
-    double wall_sync;
     double wall_overlap;
     double post_s;
     double interior_s;
@@ -78,9 +75,9 @@ int main() {
   std::printf("halo exchange rank x threads sweep, %d unknowns, %d spmv "
               "iterations per timing, %u host cores\n",
               unknowns, iters, cores);
-  std::printf("%-6s %-8s | %-10s %-10s | %-11s %-11s %-8s | %-27s\n", "ranks",
-              "threads", "interior", "boundary", "sync (s)", "overlap (s)",
-              "speedup", "overlap post/int/fin/bnd (ms)");
+  std::printf("%-6s %-8s | %-10s %-10s | %-11s | %-27s\n", "ranks",
+              "threads", "interior", "boundary", "overlap (s)",
+              "post/int/fin/bnd (ms)");
   const std::vector<int> rank_sweep =
       smoke ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
   const std::vector<int> thread_sweep =
@@ -95,79 +92,60 @@ int main() {
       row.threads = t;
       std::vector<std::int64_t> interior(static_cast<std::size_t>(p), 0);
       std::vector<std::int64_t> boundary(static_cast<std::size_t>(p), 0);
-      for (const dla::HaloMode mode :
-           {dla::HaloMode::kSync, dla::HaloMode::kOverlap}) {
-        dla::set_halo_mode(mode);
-        const std::int64_t mark = obs::Tracer::now_ns();
-        parx::Runtime::run(p, [&](parx::Comm& comm) {
-          const dla::DistHierarchy dh =
-              dla::DistHierarchy::build(comm, grids, owner);
-          const dla::DistCsr& a = dh.level(0).a;
-          interior[comm.rank()] =
-              static_cast<std::int64_t>(a.interior_rows().size());
-          boundary[comm.rank()] =
-              static_cast<std::int64_t>(a.boundary_rows().size());
-          const idx ln = a.local_rows();
-          Rng rng(17 + static_cast<std::uint64_t>(comm.rank()));
-          std::vector<real> x(static_cast<std::size_t>(ln));
-          for (real& v : x) v = rng.next_real() - 0.5;
-          std::vector<real> y(static_cast<std::size_t>(ln));
-          comm.barrier();
-          const obs::Span span("phase.halo_spmv");
-          for (int it = 0; it < iters; ++it) a.spmv(comm, x, y);
-          comm.barrier();
-        });
-        obs::build_report(mark).write_json("report.json");
-        const obs::Report rep = obs::Report::read_json("report.json");
-        const obs::PhaseEntry* phase = rep.phase("halo_spmv");
-        if (phase == nullptr) {
-          std::fprintf(stderr, "report.json is missing phase halo_spmv\n");
-          return 1;
-        }
-        if (mode == dla::HaloMode::kSync) {
-          row.wall_sync = phase->seconds();
-        } else {
-          row.wall_overlap = phase->seconds();
-          row.post_s = component_max_seconds(rep, "halo.post");
-          row.interior_s = component_max_seconds(rep, "halo.interior");
-          row.finish_s = component_max_seconds(rep, "halo.finish");
-          row.boundary_s = component_max_seconds(rep, "halo.boundary");
-        }
+      const std::int64_t mark = obs::Tracer::now_ns();
+      parx::Runtime::run(p, [&](parx::Comm& comm) {
+        const dla::DistHierarchy dh =
+            dla::DistHierarchy::build(comm, grids, owner);
+        const dla::DistCsr& a = dh.level(0).a;
+        interior[comm.rank()] =
+            static_cast<std::int64_t>(a.interior_rows().size());
+        boundary[comm.rank()] =
+            static_cast<std::int64_t>(a.boundary_rows().size());
+        const idx ln = a.local_rows();
+        Rng rng(17 + static_cast<std::uint64_t>(comm.rank()));
+        std::vector<real> x(static_cast<std::size_t>(ln));
+        for (real& v : x) v = rng.next_real() - 0.5;
+        std::vector<real> y(static_cast<std::size_t>(ln));
+        comm.barrier();
+        const obs::Span span("phase.halo_spmv");
+        for (int it = 0; it < iters; ++it) a.spmv(comm, x, y);
+        comm.barrier();
+      });
+      obs::build_report(mark).write_json("report.json");
+      const obs::Report rep = obs::Report::read_json("report.json");
+      const obs::PhaseEntry* phase = rep.phase("halo_spmv");
+      if (phase == nullptr) {
+        std::fprintf(stderr, "report.json is missing phase halo_spmv\n");
+        return 1;
       }
+      row.wall_overlap = phase->seconds();
+      row.post_s = component_max_seconds(rep, "halo.post");
+      row.interior_s = component_max_seconds(rep, "halo.interior");
+      row.finish_s = component_max_seconds(rep, "halo.finish");
+      row.boundary_s = component_max_seconds(rep, "halo.boundary");
       for (int r = 0; r < p; ++r) {
         row.interior_rows += interior[static_cast<std::size_t>(r)];
         row.boundary_rows += boundary[static_cast<std::size_t>(r)];
       }
       rows.push_back(row);
       std::printf(
-          "%-6d %-8d | %-10lld %-10lld | %-11.4f %-11.4f %-8.2f | "
-          "%.1f/%.1f/%.1f/%.1f\n",
+          "%-6d %-8d | %-10lld %-10lld | %-11.4f | %.1f/%.1f/%.1f/%.1f\n",
           row.ranks, row.threads, static_cast<long long>(row.interior_rows),
-          static_cast<long long>(row.boundary_rows), row.wall_sync,
-          row.wall_overlap,
-          row.wall_overlap > 0 ? row.wall_sync / row.wall_overlap : 0.0,
+          static_cast<long long>(row.boundary_rows), row.wall_overlap,
           row.post_s * 1e3, row.interior_s * 1e3, row.finish_s * 1e3,
           row.boundary_s * 1e3);
     }
   }
   common::set_kernel_threads(0);
-  dla::set_halo_mode(dla::HaloMode::kOverlap);
   tracer.set_enabled(was_tracing);
   std::printf(
       "\nshape claim: with a core per rank, the boundary fraction stays\n"
-      "small at p >= 4, the peer drain hides behind the interior sweep, and\n"
-      "the overlapped wall beats the synchronous rank-ordered drain; at\n"
-      "p = 1 there are no peers and the two schedules coincide. On a host\n"
-      "with fewer cores than ranks the virtual ranks time-slice one CPU, so\n"
-      "there is no idle time for the overlap to reclaim and the wall\n"
-      "comparison degenerates to scheduler noise — the interior/boundary\n"
-      "split and the per-phase breakdown stay meaningful; the drain\n"
-      "('finish') wall is then the time spent descheduled, not network\n"
-      "latency.\n");
-  if (cores <= 1) {
-    std::printf("note: single-core host detected — expect overlap ~= sync "
-                "at best.\n");
-  }
+      "small at p >= 4 and the peer drain ('finish') hides behind the\n"
+      "interior sweep; at p = 1 there are no peers. On a host with fewer\n"
+      "cores than ranks the virtual ranks time-slice one CPU, so there is\n"
+      "no idle time for the overlap to reclaim — the interior/boundary\n"
+      "split and the per-phase breakdown stay meaningful; the drain wall\n"
+      "is then the time spent descheduled, not network latency.\n");
 
   std::FILE* json = std::fopen("BENCH_halo.json", "w");
   if (json == nullptr) {
@@ -184,12 +162,12 @@ int main() {
     std::fprintf(
         json,
         "    {\"ranks\": %d, \"threads\": %d, \"interior_rows\": %lld, "
-        "\"boundary_rows\": %lld, \"wall_sync_s\": %.6f, "
+        "\"boundary_rows\": %lld, "
         "\"wall_overlap_s\": %.6f, \"halo_post_s\": %.6f, "
         "\"halo_interior_s\": %.6f, \"halo_finish_s\": %.6f, "
         "\"halo_boundary_s\": %.6f}%s\n",
         r.ranks, r.threads, static_cast<long long>(r.interior_rows),
-        static_cast<long long>(r.boundary_rows), r.wall_sync, r.wall_overlap,
+        static_cast<long long>(r.boundary_rows), r.wall_overlap,
         r.post_s, r.interior_s, r.finish_s, r.boundary_s,
         i + 1 < rows.size() ? "," : "");
   }

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "obs/trace.h"
 
 namespace prom::dla {
 namespace {
@@ -13,6 +12,16 @@ namespace {
 // kTagNodeGhost + 1 (unused — DistBsr has no transpose).
 constexpr int kTagNodeGhost = 311;
 constexpr int BS = kDofPerVertex;
+
+/// out.col(j)[i] = pad.col(j)[slot[i]]: the free rows of a padded block.
+void take_free_rows(std::span<const idx> slot, la::BlockCRef pad,
+                    la::BlockRef out) {
+  for (int j = 0; j < out.cols(); ++j) {
+    const real* pj = pad.col_data(j);
+    real* oj = out.col_data(j);
+    for (std::size_t i = 0; i < slot.size(); ++i) oj[i] = pj[slot[i]];
+  }
+}
 
 }  // namespace
 
@@ -226,143 +235,50 @@ DistBsr DistBsr::build(parx::Comm& comm, const DistCsr& a,
     (interior ? d.interior_brows_ : d.boundary_brows_).push_back(br);
   }
 
-  // Persistent padded work vectors. Zero invariants: owned padding slots
-  // of x_ext_ are never rewritten (the per-call scatter touches only free
-  // owned slots, the exchange rewrites whole ghost nodes incl. their
-  // padding zeros); b_pad_ padding likewise stays 0 after this fill.
+  // Persistent padded work blocks, sized for one column here and grown
+  // by grow_block, which zero-fills every new column. Zero invariants, per
+  // column: owned padding slots of x_ext_ are never rewritten (the
+  // per-call scatter touches only free owned slots, the exchange rewrites
+  // whole ghost nodes incl. their padding zeros); b_pad_ padding likewise
+  // stays 0.
   d.x_ext_.assign(static_cast<std::size_t>(d.local_.cols()), real{0});
-  d.y_pad_.assign(static_cast<std::size_t>(d.local_.rows()), real{0});
   d.b_pad_.assign(static_cast<std::size_t>(d.local_.rows()), real{0});
-  d.r_pad_.assign(static_cast<std::size_t>(d.local_.rows()), real{0});
+  d.out_pad_.assign(static_cast<std::size_t>(d.local_.rows()), real{0});
   return d;
 }
 
-void DistBsr::spmv(parx::Comm& comm, std::span<const real> x_local,
-                   std::span<real> y_local) const {
-  PROM_CHECK(static_cast<idx>(x_local.size()) == nlocal_ &&
-             static_cast<idx>(y_local.size()) == nlocal_);
-  plan_.post(comm, x_local);
-  for (idx i = 0; i < nlocal_; ++i) {
-    x_ext_[slot_of_owned_col_[i]] = x_local[i];
-  }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.spmv_brows(x_ext_, y_pad_, interior_brows_);
-    }
-    plan_.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    local_.spmv_brows(x_ext_, y_pad_, boundary_brows_);
-  } else {
-    plan_.finish_rank_order(comm, x_ext_);
-    local_.spmv(x_ext_, y_pad_);
-  }
-  for (idx i = 0; i < nlocal_; ++i) y_local[i] = y_pad_[row_slot_of_free_[i]];
-}
-
-void DistBsr::residual(parx::Comm& comm, std::span<const real> b_local,
-                       std::span<const real> x_local,
-                       std::span<real> r_local) const {
-  PROM_CHECK(static_cast<idx>(b_local.size()) == nlocal_ &&
-             static_cast<idx>(x_local.size()) == nlocal_ &&
-             static_cast<idx>(r_local.size()) == nlocal_);
-  plan_.post(comm, x_local);
-  for (idx i = 0; i < nlocal_; ++i) {
-    x_ext_[slot_of_owned_col_[i]] = x_local[i];
-  }
-  for (idx i = 0; i < nlocal_; ++i) {
-    b_pad_[row_slot_of_free_[i]] = b_local[i];
-  }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.residual_brows(b_pad_, x_ext_, r_pad_, interior_brows_);
-    }
-    plan_.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    local_.residual_brows(b_pad_, x_ext_, r_pad_, boundary_brows_);
-  } else {
-    plan_.finish_rank_order(comm, x_ext_);
-    local_.residual(b_pad_, x_ext_, r_pad_);
-  }
-  for (idx i = 0; i < nlocal_; ++i) r_local[i] = r_pad_[row_slot_of_free_[i]];
-}
-
-void DistBsr::ensure_mv_buffers(int k) const {
-  if (x_ext_mv_.cols() == k) return;
-  x_ext_mv_.resize(static_cast<idx>(x_ext_.size()), k);
-  y_pad_mv_.resize(static_cast<idx>(y_pad_.size()), k);
-  b_pad_mv_.resize(static_cast<idx>(b_pad_.size()), k);
-  r_pad_mv_.resize(static_cast<idx>(r_pad_.size()), k);
-}
-
-void DistBsr::spmm(parx::Comm& comm, const la::MultiVec& x_local,
-                   la::MultiVec& y_local) const {
+void DistBsr::spmv(parx::Comm& comm, la::BlockCRef x_local,
+                   la::BlockRef y_local) const {
   const int k = x_local.cols();
   PROM_CHECK(x_local.rows() == nlocal_ && y_local.rows() == nlocal_ &&
              y_local.cols() == k);
-  ensure_mv_buffers(k);
-  plan_.post_mv(comm, x_local);
-  for (int j = 0; j < k; ++j) {
-    const real* xj = x_local.col_data(j);
-    real* ext = x_ext_mv_.col_data(j);
-    for (idx i = 0; i < nlocal_; ++i) ext[slot_of_owned_col_[i]] = xj[i];
-  }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.spmm_brows(x_ext_mv_, y_pad_mv_, interior_brows_);
-    }
-    plan_.finish_mv(comm, x_ext_mv_);
-    const obs::Span span("halo.boundary");
-    local_.spmm_brows(x_ext_mv_, y_pad_mv_, boundary_brows_);
-  } else {
-    plan_.finish_rank_order_mv(comm, x_ext_mv_);
-    local_.spmm(x_ext_mv_, y_pad_mv_);
-  }
-  for (int j = 0; j < k; ++j) {
-    const real* yp = y_pad_mv_.col_data(j);
-    real* yj = y_local.col_data(j);
-    for (idx i = 0; i < nlocal_; ++i) yj[i] = yp[row_slot_of_free_[i]];
-  }
+  const la::BlockRef ext = grow_block(x_ext_, local_.cols(), k);
+  const la::BlockRef out = grow_block(out_pad_, local_.rows(), k);
+  halo_apply(comm, plan_, x_local, ext, slot_of_owned_col_, [&](bool bdry) {
+    local_.spmm_brows(ext, out, bdry ? boundary_brows_ : interior_brows_);
+  });
+  take_free_rows(row_slot_of_free_, out, y_local);
 }
 
-void DistBsr::residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                          const la::MultiVec& x_local,
-                          la::MultiVec& r_local) const {
+void DistBsr::residual(parx::Comm& comm, la::BlockCRef b_local,
+                       la::BlockCRef x_local, la::BlockRef r_local) const {
   const int k = x_local.cols();
   PROM_CHECK(b_local.rows() == nlocal_ && x_local.rows() == nlocal_ &&
              r_local.rows() == nlocal_ && b_local.cols() == k &&
              r_local.cols() == k);
-  ensure_mv_buffers(k);
-  plan_.post_mv(comm, x_local);
+  const la::BlockRef ext = grow_block(x_ext_, local_.cols(), k);
+  const la::BlockRef bpad = grow_block(b_pad_, local_.rows(), k);
+  const la::BlockRef out = grow_block(out_pad_, local_.rows(), k);
   for (int j = 0; j < k; ++j) {
-    const real* xj = x_local.col_data(j);
     const real* bj = b_local.col_data(j);
-    real* ext = x_ext_mv_.col_data(j);
-    real* bp = b_pad_mv_.col_data(j);
-    for (idx i = 0; i < nlocal_; ++i) ext[slot_of_owned_col_[i]] = xj[i];
+    real* bp = bpad.col_data(j);
     for (idx i = 0; i < nlocal_; ++i) bp[row_slot_of_free_[i]] = bj[i];
   }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.residual_mv_brows(b_pad_mv_, x_ext_mv_, r_pad_mv_,
-                               interior_brows_);
-    }
-    plan_.finish_mv(comm, x_ext_mv_);
-    const obs::Span span("halo.boundary");
-    local_.residual_mv_brows(b_pad_mv_, x_ext_mv_, r_pad_mv_,
-                             boundary_brows_);
-  } else {
-    plan_.finish_rank_order_mv(comm, x_ext_mv_);
-    local_.residual_mv(b_pad_mv_, x_ext_mv_, r_pad_mv_);
-  }
-  for (int j = 0; j < k; ++j) {
-    const real* rp = r_pad_mv_.col_data(j);
-    real* rj = r_local.col_data(j);
-    for (idx i = 0; i < nlocal_; ++i) rj[i] = rp[row_slot_of_free_[i]];
-  }
+  halo_apply(comm, plan_, x_local, ext, slot_of_owned_col_, [&](bool bdry) {
+    local_.residual_mv_brows(bpad, ext, out,
+                             bdry ? boundary_brows_ : interior_brows_);
+  });
+  take_free_rows(row_slot_of_free_, out, r_local);
 }
 
 }  // namespace prom::dla

@@ -18,7 +18,6 @@
 
 #include "common/config.h"
 #include "dla/dist_csr.h"
-#include "dla/dist_krylov.h"
 #include "dla/halo.h"
 #include "la/bsr.h"
 #include "parx/runtime.h"
@@ -53,31 +52,19 @@ class DistBsr {
   /// The exchange plan (persistent staging; see dla/halo.h).
   const HaloPlan& halo_plan() const { return plan_; }
 
-  /// y_local = A x on free-dof local blocks; ships whole node blocks in
-  /// the ghost exchange. Collective.
-  void spmv(parx::Comm& comm, std::span<const real> x_local,
-            std::span<real> y_local) const;
+  /// y_local = A x on the free-dof local blocks of k distributed vectors
+  /// (a single vector is the k=1 block); one exchange ships whole node
+  /// blocks of every column, and column j bitwise equals the k=1 product
+  /// of that column. Collective.
+  void spmv(parx::Comm& comm, la::BlockCRef x_local,
+            la::BlockRef y_local) const;
 
   /// r_local = b - A x, fused (same bits as spmv + subtraction).
   /// Collective.
-  void residual(parx::Comm& comm, std::span<const real> b_local,
-                std::span<const real> x_local, std::span<real> r_local) const;
-
-  /// Column-blocked spmv: one node-block ghost exchange and one blocked
-  /// matrix pass serve all k columns; column j bitwise equals `spmv` on
-  /// that column. Collective.
-  void spmm(parx::Comm& comm, const la::MultiVec& x_local,
-            la::MultiVec& y_local) const;
-
-  /// Column-blocked fused residual. Collective.
-  void residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                   const la::MultiVec& x_local, la::MultiVec& r_local) const;
+  void residual(parx::Comm& comm, la::BlockCRef b_local,
+                la::BlockCRef x_local, la::BlockRef r_local) const;
 
  private:
-  /// Reshapes the padded mv work buffers to width k. The zero-fill on
-  /// reshape re-establishes the padding invariants per column (owned
-  /// padding slots stay zero; ghost padding is rewritten every exchange).
-  void ensure_mv_buffers(int k) const;
   int rank_ = 0;
   idx nlocal_ = 0;  // owned scalar rows (free dofs)
   la::Bsr3 local_;  // owned node rows x [owned | ghost] node cols
@@ -94,44 +81,11 @@ class DistBsr {
   HaloPlan plan_;
   std::vector<idx> interior_brows_;  // block rows with owned columns only
   std::vector<idx> boundary_brows_;  // the rest
-  // Persistent padded work vectors (see build() for the zero invariants).
+  // Persistent padded work blocks, grown to the widest k seen (see
+  // grow_block, and build() for the zero invariants).
   mutable std::vector<real> x_ext_;
-  mutable std::vector<real> y_pad_;
   mutable std::vector<real> b_pad_;
-  mutable std::vector<real> r_pad_;
-  // Blocked counterparts (see ensure_mv_buffers).
-  mutable la::MultiVec x_ext_mv_;
-  mutable la::MultiVec y_pad_mv_;
-  mutable la::MultiVec b_pad_mv_;
-  mutable la::MultiVec r_pad_mv_;
-};
-
-/// DistOperator adapter for a square DistBsr, with the fused residual the
-/// ParxBackend picks up.
-class DistBsrOperator final : public DistOperator {
- public:
-  explicit DistBsrOperator(const DistBsr& a) : a_(&a) {}
-  idx local_n() const override { return a_->local_rows(); }
-  void apply(parx::Comm& comm, std::span<const real> x_local,
-             std::span<real> y_local) const override {
-    a_->spmv(comm, x_local, y_local);
-  }
-  void residual(parx::Comm& comm, std::span<const real> b_local,
-                std::span<const real> x_local,
-                std::span<real> r_local) const {
-    a_->residual(comm, b_local, x_local, r_local);
-  }
-  void apply_mv(parx::Comm& comm, const la::MultiVec& x_local,
-                la::MultiVec& y_local) const override {
-    a_->spmm(comm, x_local, y_local);
-  }
-  void residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                   const la::MultiVec& x_local, la::MultiVec& r_local) const {
-    a_->residual_mv(comm, b_local, x_local, r_local);
-  }
-
- private:
-  const DistBsr* a_;
+  mutable std::vector<real> out_pad_;  // y or r, before extraction
 };
 
 }  // namespace prom::dla

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "obs/trace.h"
 
 namespace prom::dla {
 namespace {
@@ -168,148 +167,49 @@ DistCsr DistCsr::from_global_permuted(parx::Comm& comm, const la::Csr& a,
                          std::move(col_dist));
 }
 
-void DistCsr::spmv(parx::Comm& comm, std::span<const real> x_local,
-                   std::span<real> y_local) const {
-  const idx n_own = cols_.local_size(rank_);
-  PROM_CHECK(static_cast<idx>(x_local.size()) == n_own);
-  PROM_CHECK(static_cast<idx>(y_local.size()) == local_.nrows);
-
-  plan_.post(comm, x_local);
-  std::copy(x_local.begin(), x_local.end(), x_ext_.begin());
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.spmv_rows(x_ext_, y_local, interior_rows_);
-    }
-    plan_.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    local_.spmv_rows(x_ext_, y_local, boundary_rows_);
-  } else {
-    plan_.finish_rank_order(comm, x_ext_);
-    local_.spmv(x_ext_, y_local);
-  }
-}
-
-void DistCsr::residual(parx::Comm& comm, std::span<const real> b_local,
-                       std::span<const real> x_local,
-                       std::span<real> r_local) const {
-  const idx n_own = cols_.local_size(rank_);
-  PROM_CHECK(static_cast<idx>(x_local.size()) == n_own);
-  PROM_CHECK(static_cast<idx>(b_local.size()) == local_.nrows &&
-             static_cast<idx>(r_local.size()) == local_.nrows);
-
-  plan_.post(comm, x_local);
-  std::copy(x_local.begin(), x_local.end(), x_ext_.begin());
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.residual_rows(b_local, x_ext_, r_local, interior_rows_);
-    }
-    plan_.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    local_.residual_rows(b_local, x_ext_, r_local, boundary_rows_);
-  } else {
-    plan_.finish_rank_order(comm, x_ext_);
-    local_.residual(b_local, x_ext_, r_local);
-  }
-}
-
-void DistCsr::spmv_transpose(parx::Comm& comm, std::span<const real> x_local,
-                             std::span<real> y_local) const {
-  const idx n_own_cols = cols_.local_size(rank_);
-  PROM_CHECK(static_cast<idx>(x_local.size()) == local_.nrows);
-  PROM_CHECK(static_cast<idx>(y_local.size()) == n_own_cols);
-
-  // Local A^T x over the extended column space; ghost contributions then
-  // travel the plan's reverse path back to their owners. Every owned
-  // entry of y_local is overwritten by the copy, so no zero-fill.
-  local_.spmv_transpose(x_local, y_ext_);
-  plan_.reverse_post(comm, y_ext_);
-  for (idx c = 0; c < n_own_cols; ++c) y_local[c] = y_ext_[c];
-  plan_.reverse_accumulate(comm, y_local);
-}
-
-void DistCsr::spmm(parx::Comm& comm, const la::MultiVec& x_local,
-                   la::MultiVec& y_local) const {
-  const idx n_own = cols_.local_size(rank_);
+void DistCsr::spmv(parx::Comm& comm, la::BlockCRef x_local,
+                   la::BlockRef y_local) const {
   const int k = x_local.cols();
-  PROM_CHECK(x_local.rows() == n_own && y_local.rows() == local_.nrows &&
-             y_local.cols() == k);
-  if (x_ext_mv_.rows() != local_.ncols || x_ext_mv_.cols() != k) {
-    x_ext_mv_.resize(local_.ncols, k);
-  }
-
-  plan_.post_mv(comm, x_local);
-  for (int j = 0; j < k; ++j) {
-    std::copy(x_local.col_data(j), x_local.col_data(j) + n_own,
-              x_ext_mv_.col_data(j));
-  }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.spmm_rows(x_ext_mv_, y_local, interior_rows_);
-    }
-    plan_.finish_mv(comm, x_ext_mv_);
-    const obs::Span span("halo.boundary");
-    local_.spmm_rows(x_ext_mv_, y_local, boundary_rows_);
-  } else {
-    plan_.finish_rank_order_mv(comm, x_ext_mv_);
-    local_.spmm(x_ext_mv_, y_local);
-  }
+  PROM_CHECK(x_local.rows() == cols_.local_size(rank_) &&
+             y_local.rows() == local_.nrows && y_local.cols() == k);
+  const la::BlockRef ext = grow_block(x_ext_, local_.ncols, k);
+  halo_apply(comm, plan_, x_local, ext, {}, [&](bool boundary) {
+    local_.spmm_rows(ext, y_local, boundary ? boundary_rows_ : interior_rows_);
+  });
 }
 
-void DistCsr::residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                          const la::MultiVec& x_local,
-                          la::MultiVec& r_local) const {
-  const idx n_own = cols_.local_size(rank_);
+void DistCsr::residual(parx::Comm& comm, la::BlockCRef b_local,
+                       la::BlockCRef x_local, la::BlockRef r_local) const {
   const int k = x_local.cols();
-  PROM_CHECK(x_local.rows() == n_own && b_local.rows() == local_.nrows &&
-             r_local.rows() == local_.nrows && b_local.cols() == k &&
-             r_local.cols() == k);
-  if (x_ext_mv_.rows() != local_.ncols || x_ext_mv_.cols() != k) {
-    x_ext_mv_.resize(local_.ncols, k);
-  }
-
-  plan_.post_mv(comm, x_local);
-  for (int j = 0; j < k; ++j) {
-    std::copy(x_local.col_data(j), x_local.col_data(j) + n_own,
-              x_ext_mv_.col_data(j));
-  }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.residual_mv_rows(b_local, x_ext_mv_, r_local, interior_rows_);
-    }
-    plan_.finish_mv(comm, x_ext_mv_);
-    const obs::Span span("halo.boundary");
-    local_.residual_mv_rows(b_local, x_ext_mv_, r_local, boundary_rows_);
-  } else {
-    plan_.finish_rank_order_mv(comm, x_ext_mv_);
-    local_.residual_mv(b_local, x_ext_mv_, r_local);
-  }
+  PROM_CHECK(x_local.rows() == cols_.local_size(rank_) &&
+             b_local.rows() == local_.nrows && b_local.cols() == k &&
+             r_local.rows() == local_.nrows && r_local.cols() == k);
+  const la::BlockRef ext = grow_block(x_ext_, local_.ncols, k);
+  halo_apply(comm, plan_, x_local, ext, {}, [&](bool boundary) {
+    local_.residual_mv_rows(b_local, ext, r_local,
+                            boundary ? boundary_rows_ : interior_rows_);
+  });
 }
 
-void DistCsr::spmm_transpose(parx::Comm& comm, const la::MultiVec& x_local,
-                             la::MultiVec& y_local) const {
+void DistCsr::spmv_transpose(parx::Comm& comm, la::BlockCRef x_local,
+                             la::BlockRef y_local) const {
   const idx n_own_cols = cols_.local_size(rank_);
   const int k = x_local.cols();
   PROM_CHECK(x_local.rows() == local_.nrows && y_local.rows() == n_own_cols &&
              y_local.cols() == k);
-  if (y_ext_mv_.rows() != local_.ncols || y_ext_mv_.cols() != k) {
-    y_ext_mv_.resize(local_.ncols, k);
-  }
+  const la::BlockRef ext = grow_block(y_ext_, local_.ncols, k);
 
-  // Per-column local transpose (already deterministic), then ONE blocked
-  // reverse exchange ships every column's ghost contributions per peer.
+  // Local A^T x over the extended column space, column by column; ghost
+  // contributions then travel the plan's reverse path back to their
+  // owners. Every owned entry of y_local is overwritten by the copy, so
+  // no zero-fill.
+  for (int j = 0; j < k; ++j) local_.spmv_transpose(x_local.col(j), ext.col(j));
+  plan_.reverse_post(comm, ext);
   for (int j = 0; j < k; ++j) {
-    local_.spmv_transpose(x_local.col(j), y_ext_mv_.col(j));
-  }
-  plan_.reverse_post_mv(comm, y_ext_mv_);
-  for (int j = 0; j < k; ++j) {
-    std::copy(y_ext_mv_.col_data(j), y_ext_mv_.col_data(j) + n_own_cols,
+    std::copy(ext.col_data(j), ext.col_data(j) + n_own_cols,
               y_local.col_data(j));
   }
-  plan_.reverse_accumulate_mv(comm, y_local);
+  plan_.reverse_accumulate(comm, y_local);
 }
 
 la::Csr DistCsr::local_diagonal_block() const {

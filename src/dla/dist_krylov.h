@@ -33,32 +33,31 @@ class DistOperator {
   }
 };
 
-/// Adapter for a square DistCsr, with the fused residual the ParxBackend
-/// picks up (bitwise equal to apply + waxpby, see la/backend.h).
-class DistCsrOperator final : public DistOperator {
+/// DistOperator adapter for any square distributed operator with the
+/// shared spmv/residual interface over column blocks (DistCsr, DistBsr,
+/// DistMf): apply and apply_mv are the same call at k=1 and k, and the
+/// fused residual is the one the ParxBackend picks up (bitwise equal to
+/// apply + waxpby, see la/backend.h).
+template <class M>
+class DistOperatorRef final : public DistOperator {
  public:
-  explicit DistCsrOperator(const DistCsr& a) : a_(&a) {}
+  explicit DistOperatorRef(const M& a) : a_(&a) {}
   idx local_n() const override { return a_->local_rows(); }
   void apply(parx::Comm& comm, std::span<const real> x_local,
              std::span<real> y_local) const override {
     a_->spmv(comm, x_local, y_local);
   }
-  void residual(parx::Comm& comm, std::span<const real> b_local,
-                std::span<const real> x_local,
-                std::span<real> r_local) const {
-    a_->residual(comm, b_local, x_local, r_local);
-  }
   void apply_mv(parx::Comm& comm, const la::MultiVec& x_local,
                 la::MultiVec& y_local) const override {
-    a_->spmm(comm, x_local, y_local);
+    a_->spmv(comm, x_local, y_local);
   }
-  void residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                   const la::MultiVec& x_local, la::MultiVec& r_local) const {
-    a_->residual_mv(comm, b_local, x_local, r_local);
+  void residual(parx::Comm& comm, la::BlockCRef b_local,
+                la::BlockCRef x_local, la::BlockRef r_local) const {
+    a_->residual(comm, b_local, x_local, r_local);
   }
 
  private:
-  const DistCsr* a_;
+  const M* a_;
 };
 
 /// Distributed (P)CG; `m` may be null for plain CG. Collective; every rank

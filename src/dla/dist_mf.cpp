@@ -75,142 +75,41 @@ DistMf DistMf::build(parx::Comm& comm, const MfProblem& prob,
   return mf;
 }
 
-void DistMf::spmv(parx::Comm& comm, std::span<const real> x_local,
-                  std::span<real> y_local) const {
-  PROM_CHECK(static_cast<idx>(x_local.size()) == nlocal_ &&
-             static_cast<idx>(y_local.size()) == nlocal_);
+template <class PassB>
+void DistMf::run(parx::Comm& comm, la::BlockCRef x_local,
+                 const PassB& pass_b) const {
   const obs::Span apply_span("mf.apply");
-
-  const HaloPlan& plan = a_->halo_plan();
-  plan.post(comm, x_local);
-  std::copy(x_local.begin(), x_local.end(), x_ext_.begin());
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      core_.pass_a(x_ext_, 0, core_.num_interior_batches());
-    }
-    plan.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    core_.pass_a(x_ext_, core_.num_interior_batches(), core_.num_batches());
-  } else {
-    plan.finish_rank_order(comm, x_ext_);
-    core_.pass_a(x_ext_, 0, core_.num_batches());
-  }
-  core_.pass_b_apply(y_local);
-}
-
-void DistMf::residual(parx::Comm& comm, std::span<const real> b_local,
-                      std::span<const real> x_local,
-                      std::span<real> r_local) const {
-  PROM_CHECK(static_cast<idx>(x_local.size()) == nlocal_ &&
-             static_cast<idx>(b_local.size()) == nlocal_ &&
-             static_cast<idx>(r_local.size()) == nlocal_);
-  const obs::Span apply_span("mf.apply");
-
-  const HaloPlan& plan = a_->halo_plan();
-  plan.post(comm, x_local);
-  std::copy(x_local.begin(), x_local.end(), x_ext_.begin());
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      core_.pass_a(x_ext_, 0, core_.num_interior_batches());
-    }
-    plan.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    core_.pass_a(x_ext_, core_.num_interior_batches(), core_.num_batches());
-  } else {
-    plan.finish_rank_order(comm, x_ext_);
-    core_.pass_a(x_ext_, 0, core_.num_batches());
-  }
-  core_.pass_b_residual(b_local, r_local);
-}
-
-void DistMf::spmm(parx::Comm& comm, const la::MultiVec& x_local,
-                  la::MultiVec& y_local) const {
   const int k = x_local.cols();
-  PROM_CHECK(x_local.rows() == nlocal_ && y_local.rows() == nlocal_ &&
-             y_local.cols() == k);
-  const obs::Span apply_span("mf.apply");
-
-  const idx next = nlocal_ + a_->num_ghosts();
-  if (x_ext_mv_.rows() != next || x_ext_mv_.cols() != k) {
-    x_ext_mv_.resize(next, k);
-  }
-  const HaloPlan& plan = a_->halo_plan();
-  plan.post_mv(comm, x_local);
-  for (int j = 0; j < k; ++j) {
-    std::copy(x_local.col(j).begin(), x_local.col(j).end(),
-              x_ext_mv_.col(j).begin());
-  }
+  PROM_CHECK(x_local.rows() == nlocal_);
+  const la::BlockRef ext = grow_block(x_ext_, nlocal_ + a_->num_ghosts(), k);
+  const idx ni = core_.num_interior_batches();
+  const idx nb = core_.num_batches();
   // One per-element force buffer means the element passes are per column;
   // only column 0's Pass A can overlap the (single, blocked) exchange.
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      core_.pass_a(x_ext_mv_.col(0), 0, core_.num_interior_batches());
-    }
-    plan.finish_mv(comm, x_ext_mv_);
-    {
-      const obs::Span span("halo.boundary");
-      core_.pass_a(x_ext_mv_.col(0), core_.num_interior_batches(),
-                   core_.num_batches());
-    }
-    core_.pass_b_apply(y_local.col(0));
-    for (int j = 1; j < k; ++j) {
-      core_.pass_a(x_ext_mv_.col(j), 0, core_.num_batches());
-      core_.pass_b_apply(y_local.col(j));
-    }
-  } else {
-    plan.finish_rank_order_mv(comm, x_ext_mv_);
-    for (int j = 0; j < k; ++j) {
-      core_.pass_a(x_ext_mv_.col(j), 0, core_.num_batches());
-      core_.pass_b_apply(y_local.col(j));
-    }
+  halo_apply(comm, a_->halo_plan(), x_local, ext, {}, [&](bool boundary) {
+    core_.pass_a(ext.col(0), boundary ? ni : 0, boundary ? nb : ni);
+  });
+  pass_b(0);
+  for (int j = 1; j < k; ++j) {
+    core_.pass_a(ext.col(j), 0, nb);
+    pass_b(j);
   }
 }
 
-void DistMf::residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                         const la::MultiVec& x_local,
-                         la::MultiVec& r_local) const {
-  const int k = x_local.cols();
-  PROM_CHECK(x_local.rows() == nlocal_ && b_local.rows() == nlocal_ &&
-             r_local.rows() == nlocal_ && b_local.cols() == k &&
-             r_local.cols() == k);
-  const obs::Span apply_span("mf.apply");
+void DistMf::spmv(parx::Comm& comm, la::BlockCRef x_local,
+                  la::BlockRef y_local) const {
+  PROM_CHECK(y_local.rows() == nlocal_ && y_local.cols() == x_local.cols());
+  run(comm, x_local, [&](int j) { core_.pass_b_apply(y_local.col(j)); });
+}
 
-  const idx next = nlocal_ + a_->num_ghosts();
-  if (x_ext_mv_.rows() != next || x_ext_mv_.cols() != k) {
-    x_ext_mv_.resize(next, k);
-  }
-  const HaloPlan& plan = a_->halo_plan();
-  plan.post_mv(comm, x_local);
-  for (int j = 0; j < k; ++j) {
-    std::copy(x_local.col(j).begin(), x_local.col(j).end(),
-              x_ext_mv_.col(j).begin());
-  }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      core_.pass_a(x_ext_mv_.col(0), 0, core_.num_interior_batches());
-    }
-    plan.finish_mv(comm, x_ext_mv_);
-    {
-      const obs::Span span("halo.boundary");
-      core_.pass_a(x_ext_mv_.col(0), core_.num_interior_batches(),
-                   core_.num_batches());
-    }
-    core_.pass_b_residual(b_local.col(0), r_local.col(0));
-    for (int j = 1; j < k; ++j) {
-      core_.pass_a(x_ext_mv_.col(j), 0, core_.num_batches());
-      core_.pass_b_residual(b_local.col(j), r_local.col(j));
-    }
-  } else {
-    plan.finish_rank_order_mv(comm, x_ext_mv_);
-    for (int j = 0; j < k; ++j) {
-      core_.pass_a(x_ext_mv_.col(j), 0, core_.num_batches());
-      core_.pass_b_residual(b_local.col(j), r_local.col(j));
-    }
-  }
+void DistMf::residual(parx::Comm& comm, la::BlockCRef b_local,
+                      la::BlockCRef x_local, la::BlockRef r_local) const {
+  PROM_CHECK(b_local.rows() == nlocal_ && r_local.rows() == nlocal_ &&
+             b_local.cols() == x_local.cols() &&
+             r_local.cols() == x_local.cols());
+  run(comm, x_local, [&](int j) {
+    core_.pass_b_residual(b_local.col(j), r_local.col(j));
+  });
 }
 
 }  // namespace prom::dla

@@ -112,6 +112,38 @@ RowDist agglom_rowdist(const std::vector<idx>& free_dofs,
   return RowDist{std::move(off)};
 }
 
+/// The one format dispatch of the solve phase: calls f with level `lv`'s
+/// operator in `format`, wrapped as a DistOperatorRef. The node-block and
+/// matrix-free views exist only on hierarchies built with that format.
+template <class F>
+auto with_operator(const DistMgLevel& lv, mg::MatrixFormat format,
+                   const F& f) {
+  if (format == mg::MatrixFormat::kBsr3) {
+    PROM_CHECK_MSG(lv.a_bsr != nullptr,
+                   "MatrixFormat::kBsr3 requires a hierarchy built with it");
+    return f(DistOperatorRef(*lv.a_bsr));
+  }
+  if (format == mg::MatrixFormat::kMf) {
+    PROM_CHECK_MSG(lv.a_mf != nullptr,
+                   "MatrixFormat::kMf requires a hierarchy built with it");
+    return f(DistOperatorRef(*lv.a_mf));
+  }
+  return f(DistOperatorRef(lv.a));
+}
+
+/// The format smoothing applies A in: the node-block view when the level
+/// has one, else CSR. Smoothing never runs matrix-free.
+mg::MatrixFormat smooth_format(const DistMgLevel& lv) {
+  return lv.a_bsr != nullptr ? mg::MatrixFormat::kBsr3
+                             : mg::MatrixFormat::kCsr;
+}
+
+/// The format the cycle's residuals apply A in: the matrix-free view when
+/// the level has one, else as smoothing.
+mg::MatrixFormat apply_format(const DistMgLevel& lv) {
+  return lv.a_mf != nullptr ? mg::MatrixFormat::kMf : smooth_format(lv);
+}
+
 /// Adapts the distributed hierarchy to the generic cycle templates
 /// (mg/cycle_any.h): the one V-cycle / FMG implementation runs on local
 /// blocks, and only these level operations communicate.
@@ -135,13 +167,8 @@ struct DistCycleView {
   }
   void apply_a(int l, std::span<const real> x, std::span<real> y) const {
     const DistMgLevel& lv = h->level(l);
-    if (lv.a_mf != nullptr) {
-      lv.a_mf->spmv(*comm, x, y);
-    } else if (lv.a_bsr != nullptr) {
-      lv.a_bsr->spmv(*comm, x, y);
-    } else {
-      lv.a.spmv(*comm, x, y);
-    }
+    with_operator(lv, apply_format(lv),
+                  [&](const auto& a) { a.apply(*comm, x, y); });
   }
   void restrict_to(int l, std::span<const real> xf, std::span<real> xc) const {
     h->level(l).r.spmv(*comm, xf, xc);
@@ -188,19 +215,14 @@ struct DistCycleView {
   }
   void apply_a_mv(int l, const la::MultiVec& x, la::MultiVec& y) const {
     const DistMgLevel& lv = h->level(l);
-    if (lv.a_mf != nullptr) {
-      lv.a_mf->spmm(*comm, x, y);
-    } else if (lv.a_bsr != nullptr) {
-      lv.a_bsr->spmm(*comm, x, y);
-    } else {
-      lv.a.spmm(*comm, x, y);
-    }
+    with_operator(lv, apply_format(lv),
+                  [&](const auto& a) { a.apply_mv(*comm, x, y); });
   }
   void restrict_to_mv(int l, const la::MultiVec& xf, la::MultiVec& xc) const {
     h->level(l).r.spmm(*comm, xf, xc);
   }
   void prolong_mv(int l, const la::MultiVec& xc, la::MultiVec& xf) const {
-    h->level(l).r.spmm_transpose(*comm, xc, xf);
+    h->level(l).r.spmv_transpose(*comm, xc, xf);
   }
   void coarse_solve_mv(const la::MultiVec& b, la::MultiVec& x) const {
     const int nl = h->num_levels();
@@ -288,49 +310,35 @@ void smooth_with_mv(const DistMgLevel& lv, parx::Comm& comm, const Op& op,
 
 void DistMgLevel::smooth(parx::Comm& comm, std::span<const real> b_local,
                          std::span<real> x_local) const {
-  if (smooth_masked) {
-    // Local smoothing (adaptive refinement levels): the full collective
-    // sweep runs on a scratch copy — same exchanges on every rank, since
-    // the masked flag is a level property, not a rank property — and only
-    // the refined-region rows this rank owns take the update.
-    std::vector<real> tmp(x_local.begin(), x_local.end());
-    smooth_full(comm, b_local, tmp);
-    for (idx i : smooth_rows_local) x_local[i] = tmp[i];
-    return;
-  }
-  smooth_full(comm, b_local, x_local);
-}
-
-void DistMgLevel::smooth_full(parx::Comm& comm, std::span<const real> b_local,
-                              std::span<real> x_local) const {
-  if (a_bsr != nullptr) {
-    smooth_with(*this, comm, DistBsrOperator(*a_bsr), b_local, x_local);
-  } else {
-    smooth_with(*this, comm, DistCsrOperator(a), b_local, x_local);
-  }
+  const auto sweep = [&](std::span<real> x) {
+    with_operator(*this, smooth_format(*this), [&](const auto& op) {
+      smooth_with(*this, comm, op, b_local, x);
+    });
+  };
+  if (!smooth_masked) return sweep(x_local);
+  // Local smoothing (adaptive refinement levels): the full collective
+  // sweep runs on a scratch copy — same exchanges on every rank, since
+  // the masked flag is a level property, not a rank property — and only
+  // the refined-region rows this rank owns take the update.
+  std::vector<real> tmp(x_local.begin(), x_local.end());
+  sweep(tmp);
+  for (idx i : smooth_rows_local) x_local[i] = tmp[i];
 }
 
 void DistMgLevel::smooth_mv(parx::Comm& comm, const la::MultiVec& b_local,
                             la::MultiVec& x_local) const {
-  if (smooth_masked) {
-    la::MultiVec tmp = x_local;
-    smooth_full_mv(comm, b_local, tmp);
-    for (int j = 0; j < x_local.cols(); ++j) {
-      real* xj = x_local.col_data(j);
-      const real* tj = tmp.col_data(j);
-      for (idx i : smooth_rows_local) xj[i] = tj[i];
-    }
-    return;
-  }
-  smooth_full_mv(comm, b_local, x_local);
-}
-
-void DistMgLevel::smooth_full_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                                 la::MultiVec& x_local) const {
-  if (a_bsr != nullptr) {
-    smooth_with_mv(*this, comm, DistBsrOperator(*a_bsr), b_local, x_local);
-  } else {
-    smooth_with_mv(*this, comm, DistCsrOperator(a), b_local, x_local);
+  const auto sweep = [&](la::MultiVec& x) {
+    with_operator(*this, smooth_format(*this), [&](const auto& op) {
+      smooth_with_mv(*this, comm, op, b_local, x);
+    });
+  };
+  if (!smooth_masked) return sweep(x_local);
+  la::MultiVec tmp = x_local;
+  sweep(tmp);
+  for (int j = 0; j < x_local.cols(); ++j) {
+    real* xj = x_local.col_data(j);
+    const real* tj = tmp.col_data(j);
+    for (idx i : smooth_rows_local) xj[i] = tj[i];
   }
 }
 
@@ -524,7 +532,7 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
         dl.inv_diag = la::inverted_diagonal(dl.local_diag);
         dl.cheby_degree = std::max(1, mo.cheby_degree);
         const real lambda = la::estimate_lambda_max(
-            ParxBackend{&comm}, DistCsrOperator(dl.a), dl.inv_diag,
+            ParxBackend{&comm}, DistOperatorRef(dl.a), dl.inv_diag,
             dl.a.row_dist().begin(rank));
         dl.cheby_lmax = 1.1 * std::max(lambda, real{1e-12});
         dl.cheby_lmin = dl.cheby_lmax / 30;
@@ -567,23 +575,10 @@ la::KrylovResult dist_mg_pcg_solve(parx::Comm& comm, const DistHierarchy& h,
                                    std::span<real> x_local,
                                    const mg::MgSolveOptions& opts) {
   const DistMgPreconditioner precond(h, opts.cycle);
-  if (opts.format == mg::MatrixFormat::kBsr3) {
-    PROM_CHECK_MSG(h.level(0).a_bsr != nullptr,
-                   "MatrixFormat::kBsr3 requires a hierarchy built with it");
-    const DistBsrOperator a(*h.level(0).a_bsr);
+  return with_operator(h.level(0), opts.format, [&](const auto& a) {
     return dist_pcg(comm, a, &precond, b_local, x_local,
                     mg::to_krylov_options(opts));
-  }
-  if (opts.format == mg::MatrixFormat::kMf) {
-    PROM_CHECK_MSG(h.level(0).a_mf != nullptr,
-                   "MatrixFormat::kMf requires a hierarchy built with it");
-    const DistMfOperator a(*h.level(0).a_mf);
-    return dist_pcg(comm, a, &precond, b_local, x_local,
-                    mg::to_krylov_options(opts));
-  }
-  const DistCsrOperator a(h.level(0).a);
-  return dist_pcg(comm, a, &precond, b_local, x_local,
-                  mg::to_krylov_options(opts));
+  });
 }
 
 std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(
@@ -591,41 +586,11 @@ std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(
     la::MultiVec& x_local, const mg::MgSolveOptions& opts,
     la::KrylovWorkspace* ws) {
   const DistMgPreconditioner precond(h, opts.cycle);
-  if (opts.format == mg::MatrixFormat::kBsr3) {
-    PROM_CHECK_MSG(h.level(0).a_bsr != nullptr,
-                   "MatrixFormat::kBsr3 requires a hierarchy built with it");
-    const DistBsrOperator a(*h.level(0).a_bsr);
+  return with_operator(h.level(0), opts.format, [&](const auto& a) {
     return dist_pcg_multi(comm, a, &precond, b_local, x_local,
                           mg::to_krylov_options(opts), ws);
-  }
-  if (opts.format == mg::MatrixFormat::kMf) {
-    PROM_CHECK_MSG(h.level(0).a_mf != nullptr,
-                   "MatrixFormat::kMf requires a hierarchy built with it");
-    const DistMfOperator a(*h.level(0).a_mf);
-    return dist_pcg_multi(comm, a, &precond, b_local, x_local,
-                          mg::to_krylov_options(opts), ws);
-  }
-  const DistCsrOperator a(h.level(0).a);
-  return dist_pcg_multi(comm, a, &precond, b_local, x_local,
-                        mg::to_krylov_options(opts), ws);
+  });
 }
-
-namespace {
-
-la::KrylovResult run_nonsym(parx::Comm& comm, const DistOperator& a,
-                            const DistOperator& precond,
-                            std::span<const real> b_local,
-                            std::span<real> x_local,
-                            const mg::MgSolveOptions& opts) {
-  if (opts.krylov == la::KrylovKind::kGmres) {
-    return dist_gmres(comm, a, &precond, b_local, x_local,
-                      mg::to_gmres_options(opts));
-  }
-  return dist_bicgstab(comm, a, &precond, b_local, x_local,
-                       mg::to_krylov_options(opts));
-}
-
-}  // namespace
 
 la::KrylovResult dist_mg_krylov_solve(parx::Comm& comm,
                                       const DistHierarchy& h,
@@ -636,20 +601,14 @@ la::KrylovResult dist_mg_krylov_solve(parx::Comm& comm,
     return dist_mg_pcg_solve(comm, h, b_local, x_local, opts);
   }
   const DistMgPreconditioner precond(h, opts.cycle);
-  if (opts.format == mg::MatrixFormat::kBsr3) {
-    PROM_CHECK_MSG(h.level(0).a_bsr != nullptr,
-                   "MatrixFormat::kBsr3 requires a hierarchy built with it");
-    const DistBsrOperator a(*h.level(0).a_bsr);
-    return run_nonsym(comm, a, precond, b_local, x_local, opts);
-  }
-  if (opts.format == mg::MatrixFormat::kMf) {
-    PROM_CHECK_MSG(h.level(0).a_mf != nullptr,
-                   "MatrixFormat::kMf requires a hierarchy built with it");
-    const DistMfOperator a(*h.level(0).a_mf);
-    return run_nonsym(comm, a, precond, b_local, x_local, opts);
-  }
-  const DistCsrOperator a(h.level(0).a);
-  return run_nonsym(comm, a, precond, b_local, x_local, opts);
+  return with_operator(h.level(0), opts.format, [&](const auto& a) {
+    if (opts.krylov == la::KrylovKind::kGmres) {
+      return dist_gmres(comm, a, &precond, b_local, x_local,
+                        mg::to_gmres_options(opts));
+    }
+    return dist_bicgstab(comm, a, &precond, b_local, x_local,
+                         mg::to_krylov_options(opts));
+  });
 }
 
 }  // namespace prom::dla

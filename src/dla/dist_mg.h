@@ -96,12 +96,6 @@ struct DistMgLevel {
   /// column. Collective.
   void smooth_mv(parx::Comm& comm, const la::MultiVec& b_local,
                  la::MultiVec& x_local) const;
-
- private:
-  void smooth_full(parx::Comm& comm, std::span<const real> b_local,
-                   std::span<real> x_local) const;
-  void smooth_full_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                      la::MultiVec& x_local) const;
 };
 
 class DistHierarchy {
@@ -183,7 +177,7 @@ la::KrylovResult dist_mg_pcg_solve(parx::Comm& comm, const DistHierarchy& h,
 /// Column-blocked distributed MG-PCG for k right-hand sides: every ghost
 /// exchange ships one message per peer carrying all k columns, and column
 /// j of the result is bitwise identical to `dist_mg_pcg_solve` on that
-/// column alone (at any rank count, kernel-thread count, and halo mode).
+/// column alone (at any rank count and kernel-thread count).
 /// `ws` (optional, per rank) reuses the PCG work vectors across solves.
 /// Collective.
 std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(

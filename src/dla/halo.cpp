@@ -1,37 +1,9 @@
 #include "dla/halo.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "common/error.h"
 #include "common/flops.h"
-#include "obs/trace.h"
 
 namespace prom::dla {
-namespace {
-
-HaloMode initial_mode() {
-  const char* env = std::getenv("PROM_HALO");
-  if (env != nullptr && std::strcmp(env, "sync") == 0) return HaloMode::kSync;
-  return HaloMode::kOverlap;
-}
-
-std::atomic<int>& mode_flag() {
-  static std::atomic<int> flag{static_cast<int>(initial_mode())};
-  return flag;
-}
-
-}  // namespace
-
-void set_halo_mode(HaloMode mode) {
-  mode_flag().store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-HaloMode halo_mode() {
-  return static_cast<HaloMode>(mode_flag().load(std::memory_order_relaxed));
-}
 
 void HaloPlan::add_send(int peer, std::vector<idx> gather) {
   PROM_CHECK(!gather.empty());
@@ -49,120 +21,45 @@ void HaloPlan::add_recv(int peer, std::vector<idx> slots) {
 
 void HaloPlan::finalize(int tag) {
   tag_ = tag;
-  send_buf_.resize(send_idx_.size());
-  recv_buf_.resize(recv_slots_.size());
+  ensure_staging(1);
   pending_.reserve(std::max(send_peers_.size(), recv_peers_.size()));
 }
 
-void HaloPlan::post(parx::Comm& comm, std::span<const real> x_local) const {
-  const obs::Span span("halo.post");
-  for (std::size_t k = 0; k < send_idx_.size(); ++k) {
-    const idx li = send_idx_[k];
-    send_buf_[k] = li == kInvalidIdx ? real{0} : x_local[li];
-  }
-  for (std::size_t p = 0; p < send_peers_.size(); ++p) {
-    comm.send<real>(send_peers_[p], tag_,
-                    std::span<const real>(send_buf_.data() + send_off_[p],
-                                          send_off_[p + 1] - send_off_[p]));
-  }
+void HaloPlan::ensure_staging(int k) const {
+  if (k <= width_) return;
+  send_buf_.resize(send_idx_.size() * static_cast<std::size_t>(k));
+  recv_buf_.resize(recv_slots_.size() * static_cast<std::size_t>(k));
+  width_ = k;
 }
 
-void HaloPlan::scatter(std::size_t peer, std::span<real> dst) const {
-  for (std::size_t k = recv_off_[peer]; k < recv_off_[peer + 1]; ++k) {
-    dst[recv_slots_[k]] = recv_buf_[k];
-  }
-}
-
-void HaloPlan::finish(parx::Comm& comm, std::span<real> dst) const {
-  const obs::Span span("halo.finish");
-  pending_.assign(recv_peers_.begin(), recv_peers_.end());
+template <class Arrived>
+void HaloPlan::drain(parx::Comm& comm, bool reverse, int k,
+                     const Arrived& arrived) const {
+  const std::vector<int>& peers = reverse ? send_peers_ : recv_peers_;
+  const std::vector<std::size_t>& off = reverse ? send_off_ : recv_off_;
+  std::vector<real>& buf = reverse ? send_buf_ : recv_buf_;
+  const int tag = reverse ? tag_ + 1 : tag_;
+  pending_.assign(peers.begin(), peers.end());
   while (!pending_.empty()) {
-    const int src = comm.wait_any(pending_, tag_);
+    const int src = comm.wait_any(pending_, tag);
     const std::size_t p = static_cast<std::size_t>(
-        std::find(recv_peers_.begin(), recv_peers_.end(), src) -
-        recv_peers_.begin());
+        std::find(peers.begin(), peers.end(), src) - peers.begin());
     comm.recv_into<real>(
-        src, tag_,
-        std::span<real>(recv_buf_.data() + recv_off_[p],
-                        recv_off_[p + 1] - recv_off_[p]));
-    scatter(p, dst);
+        src, tag,
+        std::span<real>(buf.data() + off[p] * k, (off[p + 1] - off[p]) * k));
+    arrived(p);
     pending_.erase(std::find(pending_.begin(), pending_.end(), src));
   }
 }
 
-void HaloPlan::finish_rank_order(parx::Comm& comm, std::span<real> dst) const {
-  const obs::Span span("halo.finish");
-  for (std::size_t p = 0; p < recv_peers_.size(); ++p) {
-    comm.recv_into<real>(
-        recv_peers_[p], tag_,
-        std::span<real>(recv_buf_.data() + recv_off_[p],
-                        recv_off_[p + 1] - recv_off_[p]));
-    scatter(p, dst);
-  }
-}
-
-void HaloPlan::reverse_post(parx::Comm& comm, std::span<const real> src)
-    const {
-  const obs::Span span("halo.post");
-  for (std::size_t k = 0; k < recv_slots_.size(); ++k) {
-    recv_buf_[k] = src[recv_slots_[k]];
-  }
-  for (std::size_t p = 0; p < recv_peers_.size(); ++p) {
-    comm.send<real>(recv_peers_[p], tag_ + 1,
-                    std::span<const real>(recv_buf_.data() + recv_off_[p],
-                                          recv_off_[p + 1] - recv_off_[p]));
-  }
-}
-
-void HaloPlan::reverse_accumulate(parx::Comm& comm,
-                                  std::span<real> y_local) const {
-  const obs::Span span("halo.finish");
-  // Stage every reply first (arrival order under kOverlap); the
-  // accumulation below runs in registration order either way, so the
-  // result is independent of message timing.
-  if (halo_mode() == HaloMode::kOverlap) {
-    pending_.assign(send_peers_.begin(), send_peers_.end());
-    while (!pending_.empty()) {
-      const int src = comm.wait_any(pending_, tag_ + 1);
-      const std::size_t p = static_cast<std::size_t>(
-          std::find(send_peers_.begin(), send_peers_.end(), src) -
-          send_peers_.begin());
-      comm.recv_into<real>(
-          src, tag_ + 1,
-          std::span<real>(send_buf_.data() + send_off_[p],
-                          send_off_[p + 1] - send_off_[p]));
-      pending_.erase(std::find(pending_.begin(), pending_.end(), src));
-    }
-  } else {
-    for (std::size_t p = 0; p < send_peers_.size(); ++p) {
-      comm.recv_into<real>(
-          send_peers_[p], tag_ + 1,
-          std::span<real>(send_buf_.data() + send_off_[p],
-                          send_off_[p + 1] - send_off_[p]));
-    }
-  }
-  for (std::size_t k = 0; k < send_idx_.size(); ++k) {
-    const idx li = send_idx_[k];
-    if (li != kInvalidIdx) y_local[li] += send_buf_[k];
-  }
-  count_flops(static_cast<std::int64_t>(send_idx_.size()));
-}
-
-void HaloPlan::ensure_mv_staging(int k) const {
-  if (k <= mv_width_) return;
-  send_buf_mv_.resize(send_idx_.size() * static_cast<std::size_t>(k));
-  recv_buf_mv_.resize(recv_slots_.size() * static_cast<std::size_t>(k));
-  mv_width_ = k;
-}
-
-void HaloPlan::post_mv(parx::Comm& comm, const la::MultiVec& x_local) const {
+void HaloPlan::post(parx::Comm& comm, la::BlockCRef x_local) const {
   const obs::Span span("halo.post");
   const int k = x_local.cols();
-  ensure_mv_staging(k);
+  ensure_staging(k);
   for (std::size_t p = 0; p < send_peers_.size(); ++p) {
     const std::size_t c0 = send_off_[p];
     const std::size_t cnt = send_off_[p + 1] - c0;
-    real* seg = send_buf_mv_.data() + c0 * k;
+    real* seg = send_buf_.data() + c0 * k;
     for (int j = 0; j < k; ++j) {
       const real* xj = x_local.col_data(j);
       real* out = seg + static_cast<std::size_t>(j) * cnt;
@@ -176,60 +73,30 @@ void HaloPlan::post_mv(parx::Comm& comm, const la::MultiVec& x_local) const {
   }
 }
 
-void HaloPlan::scatter_mv(std::size_t peer, la::MultiVec& dst) const {
-  const int k = dst.cols();
-  const std::size_t c0 = recv_off_[peer];
-  const std::size_t cnt = recv_off_[peer + 1] - c0;
-  const real* seg = recv_buf_mv_.data() + c0 * k;
-  for (int j = 0; j < k; ++j) {
-    real* dj = dst.col_data(j);
-    const real* in = seg + static_cast<std::size_t>(j) * cnt;
-    for (std::size_t t = 0; t < cnt; ++t) dj[recv_slots_[c0 + t]] = in[t];
-  }
-}
-
-void HaloPlan::finish_mv(parx::Comm& comm, la::MultiVec& dst) const {
+void HaloPlan::finish(parx::Comm& comm, la::BlockRef dst) const {
   const obs::Span span("halo.finish");
   const int k = dst.cols();
-  ensure_mv_staging(k);
-  pending_.assign(recv_peers_.begin(), recv_peers_.end());
-  while (!pending_.empty()) {
-    const int src = comm.wait_any(pending_, tag_);
-    const std::size_t p = static_cast<std::size_t>(
-        std::find(recv_peers_.begin(), recv_peers_.end(), src) -
-        recv_peers_.begin());
-    const std::size_t cnt = recv_off_[p + 1] - recv_off_[p];
-    comm.recv_into<real>(
-        src, tag_,
-        std::span<real>(recv_buf_mv_.data() + recv_off_[p] * k, cnt * k));
-    scatter_mv(p, dst);
-    pending_.erase(std::find(pending_.begin(), pending_.end(), src));
-  }
+  ensure_staging(k);
+  drain(comm, /*reverse=*/false, k, [&](std::size_t p) {
+    const std::size_t c0 = recv_off_[p];
+    const std::size_t cnt = recv_off_[p + 1] - c0;
+    const real* seg = recv_buf_.data() + c0 * k;
+    for (int j = 0; j < k; ++j) {
+      real* dj = dst.col_data(j);
+      const real* in = seg + static_cast<std::size_t>(j) * cnt;
+      for (std::size_t t = 0; t < cnt; ++t) dj[recv_slots_[c0 + t]] = in[t];
+    }
+  });
 }
 
-void HaloPlan::finish_rank_order_mv(parx::Comm& comm,
-                                    la::MultiVec& dst) const {
-  const obs::Span span("halo.finish");
-  const int k = dst.cols();
-  ensure_mv_staging(k);
-  for (std::size_t p = 0; p < recv_peers_.size(); ++p) {
-    const std::size_t cnt = recv_off_[p + 1] - recv_off_[p];
-    comm.recv_into<real>(
-        recv_peers_[p], tag_,
-        std::span<real>(recv_buf_mv_.data() + recv_off_[p] * k, cnt * k));
-    scatter_mv(p, dst);
-  }
-}
-
-void HaloPlan::reverse_post_mv(parx::Comm& comm,
-                               const la::MultiVec& src) const {
+void HaloPlan::reverse_post(parx::Comm& comm, la::BlockCRef src) const {
   const obs::Span span("halo.post");
   const int k = src.cols();
-  ensure_mv_staging(k);
+  ensure_staging(k);
   for (std::size_t p = 0; p < recv_peers_.size(); ++p) {
     const std::size_t c0 = recv_off_[p];
     const std::size_t cnt = recv_off_[p + 1] - c0;
-    real* seg = recv_buf_mv_.data() + c0 * k;
+    real* seg = recv_buf_.data() + c0 * k;
     for (int j = 0; j < k; ++j) {
       const real* sj = src.col_data(j);
       real* out = seg + static_cast<std::size_t>(j) * cnt;
@@ -240,41 +107,22 @@ void HaloPlan::reverse_post_mv(parx::Comm& comm,
   }
 }
 
-void HaloPlan::reverse_accumulate_mv(parx::Comm& comm,
-                                     la::MultiVec& y_local) const {
+void HaloPlan::reverse_accumulate(parx::Comm& comm,
+                                  la::BlockRef y_local) const {
   const obs::Span span("halo.finish");
   const int k = y_local.cols();
-  ensure_mv_staging(k);
-  if (halo_mode() == HaloMode::kOverlap) {
-    pending_.assign(send_peers_.begin(), send_peers_.end());
-    while (!pending_.empty()) {
-      const int src = comm.wait_any(pending_, tag_ + 1);
-      const std::size_t p = static_cast<std::size_t>(
-          std::find(send_peers_.begin(), send_peers_.end(), src) -
-          send_peers_.begin());
-      const std::size_t cnt = send_off_[p + 1] - send_off_[p];
-      comm.recv_into<real>(
-          src, tag_ + 1,
-          std::span<real>(send_buf_mv_.data() + send_off_[p] * k, cnt * k));
-      pending_.erase(std::find(pending_.begin(), pending_.end(), src));
-    }
-  } else {
-    for (std::size_t p = 0; p < send_peers_.size(); ++p) {
-      const std::size_t cnt = send_off_[p + 1] - send_off_[p];
-      comm.recv_into<real>(
-          send_peers_[p], tag_ + 1,
-          std::span<real>(send_buf_mv_.data() + send_off_[p] * k, cnt * k));
-    }
-  }
-  // Per column, accumulate in the scalar path's flattened order (peers in
-  // registration order, entries ascending within each peer).
+  ensure_staging(k);
+  // Stage every reply in arrival order; the accumulation below runs per
+  // column in registration order (peers ascending, entries ascending
+  // within each peer), so the result is independent of message timing.
+  drain(comm, /*reverse=*/true, k, [](std::size_t) {});
   for (int j = 0; j < k; ++j) {
     real* yj = y_local.col_data(j);
     for (std::size_t p = 0; p < send_peers_.size(); ++p) {
       const std::size_t c0 = send_off_[p];
       const std::size_t cnt = send_off_[p + 1] - c0;
       const real* in =
-          send_buf_mv_.data() + c0 * k + static_cast<std::size_t>(j) * cnt;
+          send_buf_.data() + c0 * k + static_cast<std::size_t>(j) * cnt;
       for (std::size_t t = 0; t < cnt; ++t) {
         const idx li = send_idx_[c0 + t];
         if (li != kInvalidIdx) yj[li] += in[t];

@@ -1,44 +1,41 @@
-// Latency-hiding halo exchange shared by DistCsr and DistBsr (§6: halo
-// cost is amortized against per-rank flops only if communication and
+// Latency-hiding halo exchange shared by DistCsr, DistBsr and DistMf (§6:
+// halo cost is amortized against per-rank flops only if communication and
 // interior compute actually overlap). A HaloPlan is built once per
 // operator: per peer, the flattened gather list of local values to ship
-// and the absolute destination slots to fill, plus persistent pre-sized
-// staging buffers — after finalize() an exchange performs no heap
-// allocation in this layer (the parx transport still buffers messages,
-// like MPI_Bsend).
+// and the absolute destination slots to fill, plus persistent staging
+// buffers grown to the widest column block seen — after that an exchange
+// performs no heap allocation in this layer (the parx transport still
+// buffers messages, like MPI_Bsend).
 //
-// The overlap schedule is post() → compute interior rows → finish() →
-// compute boundary rows. finish() drains peers in *arrival* order
+// Every exchange moves a column block (la::ColBlock): all k columns travel
+// in ONE message per peer, column-major within the peer's segment (value
+// t of column j at j*c + t for a segment of c values). The message count —
+// and hence the latency bill — is that of a single column; only the
+// payload grows. A single vector is the k=1 block, whose wire layout is
+// the plain segment.
+//
+// The overlap schedule, written once in halo_apply() below, is post() →
+// stage owned values → compute interior rows → finish() → compute
+// boundary rows. finish() drains peers in *arrival* order
 // (parx::Comm::wait_any); that is deterministic because each peer's
-// destination slots are disjoint, and bitwise identical to the
-// synchronous path because every scalar row still accumulates in CSR
-// sorted-column order over the same extended vector. The reverse
-// (transpose) exchange also stages replies in arrival order but
-// *accumulates* them in fixed peer order — reverse contributions from
-// different peers may target the same output entry, so the summation
-// order must not depend on timing.
+// destination slots are disjoint, and every row still accumulates in its
+// sorted-column order over the same extended vector, so the result does
+// not depend on message timing. The reverse (transpose) exchange also
+// stages replies in arrival order but *accumulates* them in fixed peer
+// order — reverse contributions from different peers may target the same
+// output entry, so the summation order must not depend on timing.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "common/config.h"
 #include "la/multivec.h"
+#include "obs/trace.h"
 #include "parx/runtime.h"
 
 namespace prom::dla {
-
-/// Schedule used by the distributed SpMV/residual paths: kSync reproduces
-/// the historical blocking exchange (post all sends, drain peers in rank
-/// order, then run the full local kernel); kOverlap posts sends, computes
-/// interior rows while messages are in flight, drains in arrival order
-/// and finishes with the boundary rows. Both produce identical bits.
-enum class HaloMode { kSync, kOverlap };
-
-/// Process-wide mode switch. The initial value comes from PROM_HALO
-/// ("sync" | "overlap"), defaulting to kOverlap. Set outside SPMD regions.
-void set_halo_mode(HaloMode mode);
-HaloMode halo_mode();
 
 /// One operator's neighbor-exchange plan with persistent staging buffers.
 class HaloPlan {
@@ -49,12 +46,12 @@ class HaloPlan {
   void add_send(int peer, std::vector<idx> gather);
 
   /// Registers a peer this rank receives from. `slots[i]` is the absolute
-  /// index (into the destination span of finish()) the i-th wire value
+  /// row (into each destination column of finish()) the i-th wire value
   /// fills. Slots of different peers are disjoint by construction.
   void add_recv(int peer, std::vector<idx> slots);
 
-  /// Sizes the staging buffers. The forward exchange uses `tag`, the
-  /// reverse (transpose) exchange `tag + 1`.
+  /// Sizes the staging buffers for one column. The forward exchange uses
+  /// `tag`, the reverse (transpose) exchange `tag + 1`.
   void finalize(int tag);
 
   int num_send_peers() const { return static_cast<int>(send_peers_.size()); }
@@ -64,7 +61,7 @@ class HaloPlan {
   /// every plan role belongs to that level's active-rank set.
   const std::vector<int>& send_peers() const { return send_peers_; }
   const std::vector<int>& recv_peers() const { return recv_peers_; }
-  /// Total scalar values shipped / received per forward exchange.
+  /// Total scalar values shipped / received per column per exchange.
   std::int64_t send_count() const {
     return static_cast<std::int64_t>(send_idx_.size());
   }
@@ -74,65 +71,36 @@ class HaloPlan {
 
   // ---- forward exchange (owner -> ghost) ----
 
-  /// Packs the staging buffer from `x_local` and sends every peer its
-  /// segment. Returns immediately (parx sends are buffered).
-  void post(parx::Comm& comm, std::span<const real> x_local) const;
+  /// Packs every column of `x_local` and sends each peer its segment.
+  /// Returns immediately (parx sends are buffered).
+  void post(parx::Comm& comm, la::BlockCRef x_local) const;
 
   /// Drains all pending peers in arrival order, scattering each segment
-  /// into `dst` at the registered slots.
-  void finish(parx::Comm& comm, std::span<real> dst) const;
-
-  /// Drains peers in ascending registration (rank) order — the historical
-  /// blocking schedule, kept for HaloMode::kSync and as the bitwise
-  /// reference the overlap tests compare against.
-  void finish_rank_order(parx::Comm& comm, std::span<real> dst) const;
+  /// into `dst` at the registered slots (same column count as post()).
+  void finish(parx::Comm& comm, la::BlockRef dst) const;
 
   // ---- reverse exchange (ghost contributions -> owner) ----
 
   /// Ships each recv peer the values its slots hold in `src` (used by
   /// spmv_transpose: the ghost rows of y_ext go back to their owners).
-  void reverse_post(parx::Comm& comm, std::span<const real> src) const;
+  void reverse_post(parx::Comm& comm, la::BlockCRef src) const;
 
-  /// Receives one reverse message per send peer (arrival-order staging
-  /// under kOverlap, rank order under kSync) and accumulates
-  /// `y_local[gather[i]] += value` in *fixed* peer order — reverse
-  /// targets overlap across peers, so the accumulation order must be a
-  /// function of the plan alone. kInvalidIdx gather entries are dropped.
-  void reverse_accumulate(parx::Comm& comm, std::span<real> y_local) const;
-
-  // ---- blocked (multi-column) exchange ----
-  //
-  // The mv variants ship all k columns of a MultiVec in ONE message per
-  // peer: a peer whose forward segment holds c values receives c*k reals,
-  // column-major within the segment (value t of column j at j*c + t). The
-  // per-peer message count — and hence the latency bill — is that of a
-  // single-column exchange; only the payload grows. Per column the packed
-  // values, destination slots, and accumulation order match the scalar
-  // exchange exactly, so every column is bitwise identical to a scalar
-  // exchange of that column. Staging grows monotonically to the widest
-  // block seen and is then reused allocation-free.
-
-  /// Blocked post: one message per send peer carrying all columns.
-  void post_mv(parx::Comm& comm, const la::MultiVec& x_local) const;
-
-  /// Blocked finish, draining peers in arrival order.
-  void finish_mv(parx::Comm& comm, la::MultiVec& dst) const;
-
-  /// Blocked finish in ascending registration (rank) order.
-  void finish_rank_order_mv(parx::Comm& comm, la::MultiVec& dst) const;
-
-  /// Blocked reverse post (one message per recv peer, all columns).
-  void reverse_post_mv(parx::Comm& comm, const la::MultiVec& src) const;
-
-  /// Blocked reverse accumulate: stages every reply, then accumulates
-  /// column by column in the scalar path's fixed flattened order.
-  void reverse_accumulate_mv(parx::Comm& comm, la::MultiVec& y_local) const;
+  /// Receives one reverse message per send peer (staged in arrival order)
+  /// and accumulates `y_local[gather[i]] += value` column by column in
+  /// *fixed* peer order — reverse targets overlap across peers, so the
+  /// accumulation order must be a function of the plan alone. kInvalidIdx
+  /// gather entries are dropped.
+  void reverse_accumulate(parx::Comm& comm, la::BlockRef y_local) const;
 
  private:
-  void scatter(std::size_t peer, std::span<real> dst) const;
-  void scatter_mv(std::size_t peer, la::MultiVec& dst) const;
-  /// Grows the blocked staging to width k (never shrinks).
-  void ensure_mv_staging(int k) const;
+  /// Grows the staging to k columns (never shrinks).
+  void ensure_staging(int k) const;
+  /// Receives one k-column message per peer of the forward (recv peers,
+  /// recv_buf_) or reverse (send peers, send_buf_) direction, in arrival
+  /// order, into the peer's staging segment; calls arrived(p) after each.
+  template <class Arrived>
+  void drain(parx::Comm& comm, bool reverse, int k,
+             const Arrived& arrived) const;
 
   int tag_ = 0;
   std::vector<int> send_peers_;
@@ -141,16 +109,53 @@ class HaloPlan {
   std::vector<int> recv_peers_;
   std::vector<std::size_t> recv_off_{0};
   std::vector<idx> recv_slots_;  // flattened absolute destination slots
-  // Persistent staging; sized by finalize(), reused by every exchange.
-  // send_buf_ doubles as the reverse-direction receive staging (the
-  // reverse payload per peer has exactly the forward send length).
+  // Persistent staging, sized for the widest block seen and reused by
+  // every exchange. send_buf_ doubles as the reverse-direction receive
+  // staging (the reverse payload per peer has exactly the forward send
+  // length).
   mutable std::vector<real> send_buf_;
   mutable std::vector<real> recv_buf_;
   mutable std::vector<int> pending_;  // wait_any scratch
-  // Blocked staging, sized lazily to (counts * widest block seen).
-  mutable std::vector<real> send_buf_mv_;
-  mutable std::vector<real> recv_buf_mv_;
-  mutable int mv_width_ = 0;
+  mutable int width_ = 0;
 };
+
+/// Views `buf` as an n x k block, growing it (zero-filled) to the widest k
+/// seen. Column j always starts at j*n, so growth never moves a column's
+/// contents or clears it: whatever invariant an operator keeps in its
+/// extended vector (DistBsr's zero owned-padding slots) survives a width
+/// change.
+inline la::BlockRef grow_block(std::vector<real>& buf, idx n, int k) {
+  const std::size_t need = static_cast<std::size_t>(n) * k;
+  if (buf.size() < need) buf.resize(need, real{0});
+  return {buf.data(), n, k};
+}
+
+/// The overlap schedule every distributed operator runs, written once:
+/// post `x`'s owned values, stage them into the extended block `x_ext`
+/// (row i of x goes to row owned_slots[i], or to row i when the list is
+/// empty), compute(false) on the rows that need no ghost value, drain the
+/// peers in arrival order into `x_ext`, then compute(true) on the rest.
+template <class Compute>
+void halo_apply(parx::Comm& comm, const HaloPlan& plan, la::BlockCRef x,
+                la::BlockRef x_ext, std::span<const idx> owned_slots,
+                const Compute& compute) {
+  plan.post(comm, x);
+  for (int j = 0; j < x.cols(); ++j) {
+    const real* xj = x.col_data(j);
+    real* ext = x_ext.col_data(j);
+    if (owned_slots.empty()) {
+      std::copy(xj, xj + x.rows(), ext);
+    } else {
+      for (idx i = 0; i < x.rows(); ++i) ext[owned_slots[i]] = xj[i];
+    }
+  }
+  {
+    const obs::Span span("halo.interior");
+    compute(false);
+  }
+  plan.finish(comm, x_ext);
+  const obs::Span span("halo.boundary");
+  compute(true);
+}
 
 }  // namespace prom::dla

@@ -62,8 +62,8 @@ struct ParxBackend {
   template <class Op>
   void residual_mv(const Op& op, const la::MultiVec& b, const la::MultiVec& x,
                    la::MultiVec& r) const {
-    if constexpr (requires { op.residual_mv(*comm, b, x, r); }) {
-      op.residual_mv(*comm, b, x, r);
+    if constexpr (requires { op.residual(*comm, b, x, r); }) {
+      op.residual(*comm, b, x, r);
     } else {
       apply_mv(op, x, r);
       for (int j = 0; j < x.cols(); ++j) {

@@ -1,41 +1,22 @@
-// The vectorized 3x3 block microkernel, shared between the node-block BSR
-// format (la/bsr.cpp) and the matrix-free element kernel
-// (fem/matrix_free.cpp). Both express their innermost hot loop as "3x3
-// block times 3-vector, accumulated" — BSR over stored node blocks, the
-// element kernel over small per-quadrature-point tensors — and both need
-// the accumulation to round exactly like the reference scalar loop
+// The 3x3 block microkernel of the matrix-free element kernel
+// (fem/matrix_free.cpp): "3x3 block times 3-vector, accumulated" over
+// small per-quadrature-point tensors, in one fixed evaluation order
+// (ascending c, one multiply-add per step) that rounds exactly like the
+// reference scalar loop
 //
 //   for (r) for (c) acc[r] += blk[r*3+c] * xj[c];
 //
-// so the microkernel fixes one evaluation order (ascending c, one
-// multiply-add per step) and vectorizes across the dimension that is NOT
-// the accumulation chain:
-//
-//  - block3_row_madd: lanes = block rows r (lane 3 inert). Each lane runs
-//    the identical scalar chain over c, so the result is bit-identical to
-//    the scalar two-loop form — the BSR<->CSR bitwise guarantee survives.
-//  - block3_madd (T = RealPack): lanes = elements; the whole 3x3 op is
-//    per-lane scalar arithmetic in SoA layout, the element-kernel shape.
+// With T = RealPack it vectorizes across the dimension that is NOT the
+// accumulation chain: lanes = elements, the whole 3x3 op per-lane scalar
+// arithmetic in SoA layout. (The node-block BSR kernels in la/bsr.cpp run
+// the same loop on plain reals: lane-gathering block rows into a pack
+// cost 8x over scalar code on baseline x86-64.)
 #pragma once
 
 #include "common/config.h"
 #include "la/simd.h"
 
 namespace prom::la {
-
-/// acc(0..2) += blk * xj for one row-major 3x3 block. Vectorized over the
-/// three block rows; column packs are gathered lane-by-lane (a 4-wide load
-/// from blk would read past the final block of the matrix). Lane 3
-/// accumulates exact zeros and is never stored.
-inline void block3_row_madd(const real* blk, const real* xj, RealPack& acc) {
-  for (int c = 0; c < 3; ++c) {
-    RealPack col = pack_zero();
-    pack_set_lane(col, 0, blk[c]);
-    pack_set_lane(col, 1, blk[3 + c]);
-    pack_set_lane(col, 2, blk[6 + c]);
-    acc += col * pack_broadcast(xj[c]);
-  }
-}
 
 /// y(0..2) += m * x for a row-major 3x3 operand held per entry in T.
 /// With T = real this is the reference scalar loop; with T = RealPack it

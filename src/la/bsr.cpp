@@ -6,7 +6,6 @@
 #include "common/error.h"
 #include "common/flops.h"
 #include "common/parallel.h"
-#include "la/block_kernels.h"
 
 namespace prom::la {
 namespace {
@@ -60,288 +59,160 @@ bool invert_block(const real* in, real* out) {
   return true;
 }
 
-/// out(0..BS) = block row i times x. For BS == 3 the inner op is the
-/// shared vectorized microkernel (la/block_kernels.h); otherwise the
-/// reference scalar loop. Either way each scalar row accumulates in
-/// ascending block-column then ascending scalar-column order, so the
-/// result is bit-identical to the scalar CSR walk of the same row.
-template <int BS>
-inline void block_row_times(const std::vector<nnz_t>& browptr,
-                            const std::vector<idx>& bcolidx,
-                            const std::vector<real>& vals,
-                            std::span<const real> x, idx i, real* out) {
+/// Columns j0 .. j0+K-1 of block rows [tb, te) of the row list: one pass
+/// over each block row feeds K x BS accumulators, and emit(i, j, acc)
+/// stores block row i's BS results for column j. K is a compile-time
+/// width and every small loop is fully unrolled (GCC -O2 does not do so on
+/// its own), so the accumulators live in registers. Every scalar row of
+/// every column starts from 0 and adds its terms in ascending block-column
+/// then ascending scalar-column order — the plain two-loop
+/// `acc[r] += blk[r*BS+c] * x[c]` — which is the scalar CSR walk of the
+/// same row, so the result does not depend on K and matches Csr bitwise.
+template <int BS, int K, class Emit>
+void brows_fixed(const Bsr<BS>& a, const real* const* xp, int j0,
+                 std::span<const idx> brows, idx tb, idx te,
+                 const Emit& emit) {
   constexpr int kBlockSize = BS * BS;
-  if constexpr (BS == 3) {
-    RealPack acc = pack_zero();
-    for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-      const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-      const real* xj = x.data() + static_cast<std::size_t>(bcolidx[k]) * BS;
-      block3_row_madd(blk, xj, acc);
+  for (idx t = tb; t < te; ++t) {
+    const idx i = brows.empty() ? t : brows[t];
+    real acc[K][BS];
+#pragma GCC unroll 8
+    for (int j = 0; j < K; ++j) {
+#pragma GCC unroll 8
+      for (int r = 0; r < BS; ++r) acc[j][r] = 0;
     }
-    for (int r = 0; r < BS; ++r) out[r] = pack_lane(acc, r);
-  } else {
-    real acc[BS] = {};
-    for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-      const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-      const real* xj = x.data() + static_cast<std::size_t>(bcolidx[k]) * BS;
-      for (int r = 0; r < BS; ++r) {
-        for (int c = 0; c < BS; ++c) acc[r] += blk[r * BS + c] * xj[c];
+    for (nnz_t kk = a.browptr[i]; kk < a.browptr[i + 1]; ++kk) {
+      const real* blk =
+          a.vals.data() + static_cast<std::size_t>(kk) * kBlockSize;
+      const std::size_t xoff = static_cast<std::size_t>(a.bcolidx[kk]) * BS;
+#pragma GCC unroll 8
+      for (int j = 0; j < K; ++j) {
+        const real* xj = xp[j0 + j] + xoff;
+#pragma GCC unroll 8
+        for (int r = 0; r < BS; ++r) {
+#pragma GCC unroll 8
+          for (int c = 0; c < BS; ++c) acc[j][r] += blk[r * BS + c] * xj[c];
+        }
       }
     }
-    for (int r = 0; r < BS; ++r) out[r] = acc[r];
+#pragma GCC unroll 8
+    for (int j = 0; j < K; ++j) emit(i, j0 + j, acc[j]);
   }
+}
+
+/// The one block-row kernel behind every BSR product and residual, single-
+/// and multi-vector (the counterpart of la/csr.cpp's rows_core): `xp`
+/// holds the k input columns, each chunk of block rows runs the
+/// fixed-width instances for_width_chunks picks, and the flops are those
+/// of the block products. An empty `brows` means "all block rows in
+/// order" (callers of the *_brows API return early on an empty list).
+template <int BS, class Emit>
+void brows_core(const Bsr<BS>& a, std::span<const real* const> xp,
+                std::span<const idx> brows, const Emit& emit) {
+  const int k = static_cast<int>(xp.size());
+  const idx n = brows.empty() ? a.nbrows : static_cast<idx>(brows.size());
+  common::parallel_for(0, n, kBlockRowGrain, [&](idx tb, idx te) {
+    for_width_chunks(k, [&](auto width, int j0) {
+      brows_fixed<BS, decltype(width)::value>(a, xp.data(), j0, brows, tb,
+                                              te, emit);
+    });
+    nnz_t sub = 0;
+    if (brows.empty()) {
+      sub = a.browptr[te] - a.browptr[tb];
+    } else {
+      for (idx t = tb; t < te; ++t) {
+        sub += a.browptr[brows[t] + 1] - a.browptr[brows[t]];
+      }
+    }
+    count_flops(2 * BS * BS * sub * k);
+  });
+}
+
+template <int BS>
+void check_mv_shapes(const Bsr<BS>& a, BlockCRef x, BlockCRef y) {
+  PROM_CHECK(x.rows() == a.cols() && y.rows() == a.rows() &&
+             x.cols() == y.cols() && x.cols() >= 1);
+}
+
+/// Y = A X on the listed block rows (all when empty).
+template <int BS>
+void product(const Bsr<BS>& a, BlockCRef x, BlockRef y,
+             std::span<const idx> brows) {
+  const auto xp = col_ptrs(x);
+  const auto yp = col_ptrs(y);
+  brows_core(a, {xp.data(), static_cast<std::size_t>(x.cols())}, brows,
+             [&](idx i, int j, const real* acc) {
+               real* yi = yp[j] + static_cast<std::size_t>(i) * BS;
+               for (int r = 0; r < BS; ++r) yi[r] = acc[r];
+             });
+}
+
+/// R = B - A X on the listed block rows (all when empty).
+template <int BS>
+void fused_residual(const Bsr<BS>& a, BlockCRef b, BlockCRef x, BlockRef r,
+                    std::span<const idx> brows) {
+  PROM_CHECK(b.rows() == a.rows() && b.cols() == x.cols());
+  const auto xp = col_ptrs(x);
+  const auto bp = col_ptrs(b);
+  const auto rp = col_ptrs(r);
+  brows_core(a, {xp.data(), static_cast<std::size_t>(x.cols())}, brows,
+             [&](idx i, int j, const real* acc) {
+               const std::size_t base = static_cast<std::size_t>(i) * BS;
+               for (int rr = 0; rr < BS; ++rr) {
+                 rp[j][base + rr] = bp[j][base + rr] - acc[rr];
+               }
+             });
+  const idx n = brows.empty() ? a.nbrows : static_cast<idx>(brows.size());
+  count_flops(static_cast<std::int64_t>(n) * BS * x.cols());
 }
 
 }  // namespace
 
 template <int BS>
 void Bsr<BS>::spmv(std::span<const real> x, std::span<real> y) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == cols() &&
-             static_cast<idx>(y.size()) == rows());
-  common::parallel_for(0, nbrows, kBlockRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      block_row_times<BS>(browptr, bcolidx, vals, x, i,
-                          y.data() + static_cast<std::size_t>(i) * BS);
-    }
-  });
-  count_flops(2 * kBlockSize * nblocks());
+  spmm(x, y);
 }
 
 template <int BS>
 void Bsr<BS>::spmv_add(std::span<const real> x, std::span<real> y) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == cols() &&
-             static_cast<idx>(y.size()) == rows());
-  common::parallel_for(0, nbrows, kBlockRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real acc[BS];
-      block_row_times<BS>(browptr, bcolidx, vals, x, i, acc);
-      real* yi = y.data() + static_cast<std::size_t>(i) * BS;
-      for (int r = 0; r < BS; ++r) yi[r] += acc[r];
-    }
+  check_mv_shapes(*this, x, y);
+  const real* xp = x.data();
+  brows_core(*this, {&xp, 1}, {}, [&](idx i, int, const real* acc) {
+    real* yi = y.data() + static_cast<std::size_t>(i) * BS;
+    for (int r = 0; r < BS; ++r) yi[r] += acc[r];
   });
-  count_flops(2 * kBlockSize * nblocks());
 }
 
 template <int BS>
 void Bsr<BS>::residual(std::span<const real> b, std::span<const real> x,
                        std::span<real> r) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == cols() &&
-             static_cast<idx>(b.size()) == rows() &&
-             static_cast<idx>(r.size()) == rows());
-  common::parallel_for(0, nbrows, kBlockRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real acc[BS];
-      block_row_times<BS>(browptr, bcolidx, vals, x, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int rr = 0; rr < BS; ++rr) r[base + rr] = b[base + rr] - acc[rr];
-    }
-  });
-  count_flops(2 * kBlockSize * nblocks() + static_cast<std::int64_t>(rows()));
+  residual_mv(b, x, r);
 }
 
 template <int BS>
-void Bsr<BS>::spmv_brows(std::span<const real> x, std::span<real> y,
+void Bsr<BS>::spmm(BlockCRef x, BlockRef y) const {
+  check_mv_shapes(*this, x, y);
+  product(*this, x, y, {});
+}
+
+template <int BS>
+void Bsr<BS>::residual_mv(BlockCRef b, BlockCRef x, BlockRef r) const {
+  check_mv_shapes(*this, x, r);
+  fused_residual(*this, b, x, r, {});
+}
+
+template <int BS>
+void Bsr<BS>::spmm_brows(BlockCRef x, BlockRef y,
                          std::span<const idx> brows) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == cols() &&
-             static_cast<idx>(y.size()) == rows());
-  const idx n = static_cast<idx>(brows.size());
-  common::parallel_for(0, n, kBlockRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = brows[t];
-      block_row_times<BS>(browptr, bcolidx, vals, x, i,
-                          y.data() + static_cast<std::size_t>(i) * BS);
-      sub += browptr[i + 1] - browptr[i];
-    }
-    count_flops(2 * kBlockSize * sub);
-  });
+  check_mv_shapes(*this, x, y);
+  if (!brows.empty()) product(*this, x, y, brows);
 }
 
 template <int BS>
-void Bsr<BS>::residual_brows(std::span<const real> b, std::span<const real> x,
-                             std::span<real> r,
-                             std::span<const idx> brows) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == cols() &&
-             static_cast<idx>(b.size()) == rows() &&
-             static_cast<idx>(r.size()) == rows());
-  const idx n = static_cast<idx>(brows.size());
-  common::parallel_for(0, n, kBlockRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = brows[t];
-      real acc[BS];
-      block_row_times<BS>(browptr, bcolidx, vals, x, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int rr = 0; rr < BS; ++rr) r[base + rr] = b[base + rr] - acc[rr];
-      sub += browptr[i + 1] - browptr[i];
-    }
-    count_flops(2 * kBlockSize * sub + static_cast<std::int64_t>(te - tb) * BS);
-  });
-}
-
-namespace {
-
-/// Blocked counterpart of block_row_times: one pass over block row i feeds
-/// one accumulator per column of X, each updated in exactly
-/// block_row_times' order, so every output column matches the
-/// single-vector kernel bitwise. `out[j]` receives the BS row results for
-/// column j.
-template <int BS>
-inline void block_row_times_mv(const std::vector<nnz_t>& browptr,
-                               const std::vector<idx>& bcolidx,
-                               const std::vector<real>& vals,
-                               const real* const* xp, int ncol, idx i,
-                               real out[][BS]) {
-  constexpr int kBlockSize = BS * BS;
-  if constexpr (BS == 3) {
-    RealPack acc[kMaxRhsBlock];
-    for (int j = 0; j < ncol; ++j) acc[j] = pack_zero();
-    for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-      const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-      const std::size_t xoff = static_cast<std::size_t>(bcolidx[k]) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        block3_row_madd(blk, xp[j] + xoff, acc[j]);
-      }
-    }
-    for (int j = 0; j < ncol; ++j) {
-      for (int r = 0; r < BS; ++r) out[j][r] = pack_lane(acc[j], r);
-    }
-  } else {
-    real acc[kMaxRhsBlock][BS] = {};
-    for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-      const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-      const std::size_t xoff = static_cast<std::size_t>(bcolidx[k]) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        for (int r = 0; r < BS; ++r) {
-          for (int c = 0; c < BS; ++c) {
-            acc[j][r] += blk[r * BS + c] * xp[j][xoff + c];
-          }
-        }
-      }
-    }
-    for (int j = 0; j < ncol; ++j) {
-      for (int r = 0; r < BS; ++r) out[j][r] = acc[j][r];
-    }
-  }
-}
-
-}  // namespace
-
-template <int BS>
-void Bsr<BS>::spmm(const MultiVec& x, MultiVec& y) const {
-  PROM_CHECK(x.rows() == cols() && y.rows() == rows() &&
-             x.cols() == y.cols() && x.cols() >= 1);
-  const int ncol = x.cols();
-  const real* xp[kMaxRhsBlock];
-  real* yp[kMaxRhsBlock];
-  for (int j = 0; j < ncol; ++j) {
-    xp[j] = x.col_data(j);
-    yp[j] = y.col_data(j);
-  }
-  common::parallel_for(0, nbrows, kBlockRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real acc[kMaxRhsBlock][BS];
-      block_row_times_mv<BS>(browptr, bcolidx, vals, xp, ncol, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        for (int r = 0; r < BS; ++r) yp[j][base + r] = acc[j][r];
-      }
-    }
-  });
-  count_flops(2 * kBlockSize * nblocks() * ncol);
-}
-
-template <int BS>
-void Bsr<BS>::residual_mv(const MultiVec& b, const MultiVec& x,
-                          MultiVec& r) const {
-  PROM_CHECK(x.rows() == cols() && b.rows() == rows() && r.rows() == rows() &&
-             x.cols() == b.cols() && x.cols() == r.cols() && x.cols() >= 1);
-  const int ncol = x.cols();
-  const real* xp[kMaxRhsBlock];
-  const real* bp[kMaxRhsBlock];
-  real* rp[kMaxRhsBlock];
-  for (int j = 0; j < ncol; ++j) {
-    xp[j] = x.col_data(j);
-    bp[j] = b.col_data(j);
-    rp[j] = r.col_data(j);
-  }
-  common::parallel_for(0, nbrows, kBlockRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real acc[kMaxRhsBlock][BS];
-      block_row_times_mv<BS>(browptr, bcolidx, vals, xp, ncol, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        for (int rr = 0; rr < BS; ++rr) {
-          rp[j][base + rr] = bp[j][base + rr] - acc[j][rr];
-        }
-      }
-    }
-  });
-  count_flops((2 * kBlockSize * nblocks() + static_cast<std::int64_t>(rows())) *
-              ncol);
-}
-
-template <int BS>
-void Bsr<BS>::spmm_brows(const MultiVec& x, MultiVec& y,
-                         std::span<const idx> brows) const {
-  PROM_CHECK(x.rows() == cols() && y.rows() == rows() &&
-             x.cols() == y.cols() && x.cols() >= 1);
-  const int ncol = x.cols();
-  const real* xp[kMaxRhsBlock];
-  real* yp[kMaxRhsBlock];
-  for (int j = 0; j < ncol; ++j) {
-    xp[j] = x.col_data(j);
-    yp[j] = y.col_data(j);
-  }
-  const idx n = static_cast<idx>(brows.size());
-  common::parallel_for(0, n, kBlockRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = brows[t];
-      real acc[kMaxRhsBlock][BS];
-      block_row_times_mv<BS>(browptr, bcolidx, vals, xp, ncol, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        for (int r = 0; r < BS; ++r) yp[j][base + r] = acc[j][r];
-      }
-      sub += browptr[i + 1] - browptr[i];
-    }
-    count_flops(2 * kBlockSize * sub * ncol);
-  });
-}
-
-template <int BS>
-void Bsr<BS>::residual_mv_brows(const MultiVec& b, const MultiVec& x,
-                                MultiVec& r, std::span<const idx> brows) const {
-  PROM_CHECK(x.rows() == cols() && b.rows() == rows() && r.rows() == rows() &&
-             x.cols() == b.cols() && x.cols() == r.cols() && x.cols() >= 1);
-  const int ncol = x.cols();
-  const real* xp[kMaxRhsBlock];
-  const real* bp[kMaxRhsBlock];
-  real* rp[kMaxRhsBlock];
-  for (int j = 0; j < ncol; ++j) {
-    xp[j] = x.col_data(j);
-    bp[j] = b.col_data(j);
-    rp[j] = r.col_data(j);
-  }
-  const idx n = static_cast<idx>(brows.size());
-  common::parallel_for(0, n, kBlockRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = brows[t];
-      real acc[kMaxRhsBlock][BS];
-      block_row_times_mv<BS>(browptr, bcolidx, vals, xp, ncol, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        for (int rr = 0; rr < BS; ++rr) {
-          rp[j][base + rr] = bp[j][base + rr] - acc[j][rr];
-        }
-      }
-      sub += browptr[i + 1] - browptr[i];
-    }
-    count_flops((2 * kBlockSize * sub + static_cast<std::int64_t>(te - tb) * BS) *
-                ncol);
-  });
+void Bsr<BS>::residual_mv_brows(BlockCRef b, BlockCRef x, BlockRef r,
+                                std::span<const idx> brows) const {
+  check_mv_shapes(*this, x, r);
+  if (!brows.empty()) fused_residual(*this, b, x, r, brows);
 }
 
 template <int BS>

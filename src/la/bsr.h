@@ -67,30 +67,21 @@ struct Bsr {
   void residual(std::span<const real> b, std::span<const real> x,
                 std::span<real> r) const;
 
-  /// y = A x restricted to the listed block rows; other entries of y are
-  /// not touched. Each block row accumulates exactly as in spmv, so
-  /// splitting the block-row space across calls reproduces spmv's bits.
-  void spmv_brows(std::span<const real> x, std::span<real> y,
-                  std::span<const idx> brows) const;
-
-  /// r = b - A x restricted to the listed block rows.
-  void residual_brows(std::span<const real> b, std::span<const real> x,
-                      std::span<real> r, std::span<const idx> brows) const;
-
   /// Y = A X, column-blocked: one pass over the block structure feeds one
   /// accumulator per column, each in spmv's order (column j bitwise equals
-  /// spmv on X.col(j)).
-  void spmm(const MultiVec& x, MultiVec& y) const;
+  /// spmv on X.col(j)). spmv is its k=1 instance.
+  void spmm(BlockCRef x, BlockRef y) const;
 
   /// R = B - A X, fused column-blocked residual.
-  void residual_mv(const MultiVec& b, const MultiVec& x, MultiVec& r) const;
+  void residual_mv(BlockCRef b, BlockCRef x, BlockRef r) const;
 
-  /// Column-blocked spmv_brows (listed block rows only).
-  void spmm_brows(const MultiVec& x, MultiVec& y,
-                  std::span<const idx> brows) const;
+  /// Y = A X restricted to the listed block rows; other entries of Y are
+  /// not touched. Each block row accumulates exactly as in spmv, so
+  /// splitting the block-row space across calls reproduces spmv's bits.
+  void spmm_brows(BlockCRef x, BlockRef y, std::span<const idx> brows) const;
 
-  /// Column-blocked residual_brows.
-  void residual_mv_brows(const MultiVec& b, const MultiVec& x, MultiVec& r,
+  /// R = B - A X restricted to the listed block rows.
+  void residual_mv_brows(BlockCRef b, BlockCRef x, BlockRef r,
                          std::span<const idx> brows) const;
 
   /// Convenience: returns A x as a new vector.

@@ -1,7 +1,6 @@
 #include "la/csr.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 
@@ -86,18 +85,9 @@ void check_shapes(const Csr& a, std::span<const real> x,
              static_cast<idx>(y.size()) == a.nrows);
 }
 
-void check_mv_shapes(const Csr& a, const MultiVec& x, const MultiVec& y) {
+void check_mv_shapes(const Csr& a, BlockCRef x, BlockCRef y) {
   PROM_CHECK(x.rows() == a.ncols && y.rows() == a.nrows &&
              x.cols() == y.cols() && x.cols() >= 1);
-}
-
-/// Column pointers of a MultiVec (const or not), in the form rows_core
-/// and the emits take them.
-template <class V>
-auto col_ptrs(V& v) {
-  std::array<decltype(v.col_data(0)), kMaxRhsBlock> p{};
-  for (int j = 0; j < v.cols(); ++j) p[j] = v.col_data(j);
-  return p;
 }
 
 }  // namespace
@@ -167,26 +157,7 @@ void Csr::residual(std::span<const real> b, std::span<const real> x,
   count_flops(nrows);
 }
 
-void Csr::spmv_rows(std::span<const real> x, std::span<real> y,
-                    std::span<const idx> rows) const {
-  check_shapes(*this, x, y);
-  if (rows.empty()) return;
-  const real* xp = x.data();
-  rows_core(*this, {&xp, 1}, rows, [&](idx i, int, real sum) { y[i] = sum; });
-}
-
-void Csr::residual_rows(std::span<const real> b, std::span<const real> x,
-                        std::span<real> r, std::span<const idx> rows) const {
-  check_shapes(*this, x, r);
-  PROM_CHECK(static_cast<idx>(b.size()) == nrows);
-  if (rows.empty()) return;
-  const real* xp = x.data();
-  rows_core(*this, {&xp, 1}, rows,
-            [&](idx i, int, real sum) { r[i] = b[i] - sum; });
-  count_flops(static_cast<std::int64_t>(rows.size()));
-}
-
-void Csr::spmm(const MultiVec& x, MultiVec& y) const {
+void Csr::spmm(BlockCRef x, BlockRef y) const {
   check_mv_shapes(*this, x, y);
   const auto xp = col_ptrs(x);
   const auto yp = col_ptrs(y);
@@ -194,8 +165,7 @@ void Csr::spmm(const MultiVec& x, MultiVec& y) const {
             [&](idx i, int j, real sum) { yp[j][i] = sum; });
 }
 
-void Csr::residual_mv(const MultiVec& b, const MultiVec& x,
-                      MultiVec& r) const {
+void Csr::residual_mv(BlockCRef b, BlockCRef x, BlockRef r) const {
   check_mv_shapes(*this, x, r);
   PROM_CHECK(b.rows() == nrows && b.cols() == x.cols());
   const auto xp = col_ptrs(x);
@@ -206,7 +176,7 @@ void Csr::residual_mv(const MultiVec& b, const MultiVec& x,
   count_flops(static_cast<std::int64_t>(nrows) * x.cols());
 }
 
-void Csr::spmm_rows(const MultiVec& x, MultiVec& y,
+void Csr::spmm_rows(BlockCRef x, BlockRef y,
                     std::span<const idx> rows) const {
   check_mv_shapes(*this, x, y);
   if (rows.empty()) return;
@@ -216,7 +186,7 @@ void Csr::spmm_rows(const MultiVec& x, MultiVec& y,
             [&](idx i, int j, real sum) { yp[j][i] = sum; });
 }
 
-void Csr::residual_mv_rows(const MultiVec& b, const MultiVec& x, MultiVec& r,
+void Csr::residual_mv_rows(BlockCRef b, BlockCRef x, BlockRef r,
                            std::span<const idx> rows) const {
   check_mv_shapes(*this, x, r);
   PROM_CHECK(b.rows() == nrows && b.cols() == x.cols());

@@ -42,31 +42,23 @@ struct Csr {
   void residual(std::span<const real> b, std::span<const real> x,
                 std::span<real> r) const;
 
-  /// y[i] = (A x)[i] for the listed rows only; other entries of y are not
-  /// touched. Each row accumulates exactly as in spmv, so splitting the
-  /// row space across calls reproduces spmv's bits.
-  void spmv_rows(std::span<const real> x, std::span<real> y,
-                 std::span<const idx> rows) const;
-
-  /// r[i] = b[i] - (A x)[i] for the listed rows only.
-  void residual_rows(std::span<const real> b, std::span<const real> x,
-                     std::span<real> r, std::span<const idx> rows) const;
-
   /// Y = A X, column-blocked. One pass over the matrix serves every
   /// column; each column accumulates in exactly spmv's order, so column j
   /// of the result is bitwise identical to spmv on X.col(j).
-  void spmm(const MultiVec& x, MultiVec& y) const;
+  void spmm(BlockCRef x, BlockRef y) const;
 
   /// R = B - A X, fused column-blocked residual (bitwise = per-column
   /// `residual`).
-  void residual_mv(const MultiVec& b, const MultiVec& x, MultiVec& r) const;
+  void residual_mv(BlockCRef b, BlockCRef x, BlockRef r) const;
 
-  /// Column-blocked spmv_rows: Y[i] = (A X)[i] for the listed rows only.
-  void spmm_rows(const MultiVec& x, MultiVec& y,
-                 std::span<const idx> rows) const;
+  /// Y[i] = (A X)[i] for the listed rows only; other entries of Y are not
+  /// touched. Each row accumulates exactly as in spmv, so splitting the
+  /// row space across calls reproduces spmv's bits. A single vector is
+  /// the k=1 block.
+  void spmm_rows(BlockCRef x, BlockRef y, std::span<const idx> rows) const;
 
-  /// Column-blocked residual_rows.
-  void residual_mv_rows(const MultiVec& b, const MultiVec& x, MultiVec& r,
+  /// R[i] = B[i] - (A X)[i] for the listed rows only.
+  void residual_mv_rows(BlockCRef b, BlockCRef x, BlockRef r,
                         std::span<const idx> rows) const;
 
   /// Convenience: returns A x as a new vector.

@@ -4,8 +4,15 @@
 // paths operate on MultiVec under the determinism contract: column j of
 // any blocked operation is bitwise identical to the single-vector kernel
 // run on that column alone.
+//
+// ColBlock is the non-owning view those paths are written over: a MultiVec
+// converts to it as k columns, and a single contiguous vector (std::span,
+// std::vector) as one column, so one kernel or exchange body serves both
+// shapes and k=1 is simply its narrowest instance.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -39,6 +46,61 @@ void for_width_chunks(int k, const F& f) {
     j += 2;
   }
   if (k - j >= 1) f(std::integral_constant<int, 1>{}, j);
+}
+
+/// Non-owning column-major view of `cols` columns of `rows` entries each;
+/// column j starts at data + j * rows. T is `real` (BlockRef) or
+/// `const real` (BlockCRef). Constness is the element's, not the view's:
+/// copying a view never copies data.
+template <class T>
+class ColBlock {
+ public:
+  ColBlock(T* data, idx rows, int cols)
+      : data_(data), rows_(rows), cols_(cols) {}
+
+  /// One column over any contiguous range (std::span, std::vector).
+  template <class R>
+    requires std::is_convertible_v<R&&, std::span<T>>
+  ColBlock(R&& r) {
+    const std::span<T> s(r);
+    data_ = s.data();
+    rows_ = static_cast<idx>(s.size());
+    cols_ = 1;
+  }
+
+  /// A mutable view reads as a const one.
+  template <class U>
+    requires(std::is_const_v<T> && std::is_same_v<U, std::remove_const_t<T>>)
+  ColBlock(const ColBlock<U>& o)
+      : data_(o.data()), rows_(o.rows()), cols_(o.cols()) {}
+
+  idx rows() const { return rows_; }
+  int cols() const { return cols_; }
+  T* data() const { return data_; }
+  T* col_data(int j) const {
+    return data_ + static_cast<std::size_t>(j) * rows_;
+  }
+  std::span<T> col(int j) const {
+    return {col_data(j), static_cast<std::size_t>(rows_)};
+  }
+
+ private:
+  T* data_ = nullptr;
+  idx rows_ = 0;
+  int cols_ = 0;
+};
+
+using BlockRef = ColBlock<real>;
+using BlockCRef = ColBlock<const real>;
+
+/// The column pointers of a block (at most kMaxRhsBlock columns), in the
+/// form the row kernels take them.
+template <class T>
+std::array<T*, kMaxRhsBlock> col_ptrs(ColBlock<T> v) {
+  PROM_CHECK(v.cols() <= kMaxRhsBlock);
+  std::array<T*, kMaxRhsBlock> p{};
+  for (int j = 0; j < v.cols(); ++j) p[j] = v.col_data(j);
+  return p;
 }
 
 class MultiVec {
@@ -77,6 +139,10 @@ class MultiVec {
   /// The full column-major storage (column j occupies [j*n, (j+1)*n)).
   real* data() { return data_.data(); }
   const real* data() const { return data_.data(); }
+
+  /// All k columns as a view (the storage, not a copy).
+  operator BlockRef() { return {data(), n_, k_}; }
+  operator BlockCRef() const { return {data(), n_, k_}; }
 
  private:
   idx n_ = 0;

@@ -1,5 +1,5 @@
 // Fixed-width SIMD pack for the explicitly vectorized kernels (the
-// matrix-free element kernel in fem/matrix_free.cpp and the 3x3 block
+// matrix-free element kernel in fem/matrix_free.cpp and its 3x3 block
 // microkernel in la/block_kernels.h).
 //
 // The width is a compile-time constant, kSimdLanes = 4 doubles (one AVX
@@ -96,10 +96,7 @@ inline RealPack pack_load(const real* p) {
 /// Unaligned store of kSimdLanes contiguous doubles.
 inline void pack_store(real* p, RealPack a) { std::memcpy(p, &a, sizeof(a)); }
 
-/// Single lane read (lane index must be in [0, kSimdLanes)).
-inline real pack_lane(RealPack a, int lane) { return a.v[lane]; }
-
-/// Single lane write.
+/// Single lane write (lane index must be in [0, kSimdLanes)).
 inline void pack_set_lane(RealPack& a, int lane, real s) { a.v[lane] = s; }
 
 }  // namespace prom::la

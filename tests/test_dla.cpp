@@ -146,7 +146,7 @@ TEST_P(DlaRanks, DistPcgMatchesSerialIterationForIteration) {
   const RowDist dist = RowDist::block(n, p);
   parx::Runtime::run(p, [&](parx::Comm& comm) {
     const DistCsr da(comm, a, dist, dist);
-    const DistCsrOperator dop(da);
+    const DistOperatorRef dop(da);
     const idx lo = dist.begin(comm.rank());
     const idx ln = dist.local_size(comm.rank());
     std::vector<real> bl(b.begin() + lo, b.begin() + lo + ln), xl(ln, 0.0);

@@ -2,7 +2,8 @@
 // of a blocked CSR product or residual, and of a blocked dense factor
 // solve, must be bitwise identical to the single-vector kernel run on that
 // column alone — for every width up to kMaxRhsBlock, every kernel-thread
-// count, rectangular shapes, empty rows and row subsets. The dense solves
+// count, rectangular shapes, empty rows and row subsets (those also
+// against a frozen copy of the original row loop). The dense solves
 // are also pinned to a frozen copy of the original row-oriented sweeps, so
 // reordering a sweep's memory access can never move a bit unnoticed.
 #include <gtest/gtest.h>
@@ -111,21 +112,66 @@ TEST(BlockedCsrProperty, EveryColumnMatchesSingleVectorKernels) {
           ASSERT_TRUE(same_bits(y1, ref)) << "spmv, column " << j;
           ASSERT_TRUE(same_bits(y.col(j), y1)) << "spmm, column " << j;
           ASSERT_TRUE(same_bits(r.col(j), r1)) << "residual_mv, column " << j;
+          // The row-subset kernels against the frozen row loop: listed
+          // rows carry its bits (b - ref for the residual), the rest keep
+          // the sentinel. The k=1 block of one vector must agree too.
           std::vector<real> ys1(ref.size(), 7.5), rs1(ref.size(), 7.5);
-          a.spmv_rows(x.col(j), ys1, rows);
-          a.residual_rows(b.col(j), x.col(j), rs1, rows);
+          a.spmm_rows(x.col(j), ys1, rows);
+          a.residual_mv_rows(b.col(j), x.col(j), rs1, rows);
           ASSERT_TRUE(same_bits(ys.col(j), ys1)) << "spmm_rows, column " << j;
           ASSERT_TRUE(same_bits(rs.col(j), rs1))
               << "residual_mv_rows, column " << j;
+          std::vector<real> ys_ref(ref.size(), 7.5), rs_ref(ref.size(), 7.5);
           for (const idx i : rows) {
-            ASSERT_TRUE(same_bits({&ys1[i], 1}, {&ref[i], 1})) << "row " << i;
-            ASSERT_EQ(rs1[i], b.col(j)[i] - ref[i]);
+            ys_ref[i] = ref[i];
+            rs_ref[i] = b.col(j)[i] - ref[i];
           }
+          ASSERT_TRUE(same_bits(ys1, ys_ref)) << "spmm_rows vs frozen loop";
+          ASSERT_TRUE(same_bits(rs1, rs_ref))
+              << "residual_mv_rows vs frozen loop";
         }
       }
     }
   }
   common::set_kernel_threads(0);
+}
+
+TEST(ColBlockView, ConversionsAddressTheSameStorage) {
+  MultiVec m(5, 3);
+  const BlockRef all = m;
+  EXPECT_EQ(all.data(), m.data());
+  EXPECT_EQ(all.rows(), 5);
+  EXPECT_EQ(all.cols(), 3);
+  for (int j = 0; j < 3; ++j) {
+    EXPECT_EQ(all.col_data(j), m.col_data(j));
+    EXPECT_EQ(all.col(j).data(), m.col(j).data());
+    EXPECT_EQ(all.col(j).size(), m.col(j).size());
+  }
+  const MultiVec& cm = m;
+  const BlockCRef call = cm;
+  EXPECT_EQ(call.data(), m.data());
+  EXPECT_EQ(call.cols(), 3);
+  const BlockCRef from_mutable = all;
+  EXPECT_EQ(from_mutable.col_data(2), m.col_data(2));
+
+  std::vector<real> v(7);
+  const std::span<real> s(v);
+  const BlockRef one = s;
+  EXPECT_EQ(one.data(), v.data());
+  EXPECT_EQ(one.rows(), 7);
+  EXPECT_EQ(one.cols(), 1);
+  EXPECT_EQ(one.col(0).data(), v.data());
+  const BlockCRef cone = std::span<const real>(v);
+  EXPECT_EQ(cone.col_data(0), v.data());
+  const BlockRef from_vector = v;
+  EXPECT_EQ(from_vector.data(), v.data());
+  EXPECT_EQ(from_vector.rows(), 7);
+
+  // Writes through a view land in the viewed storage.
+  all.col(1)[4] = 2.5;
+  EXPECT_EQ(m.col(1)[4], 2.5);
+  one.col(0)[6] = -1.0;
+  EXPECT_EQ(v[6], -1.0);
 }
 
 TEST(BlockedCsrProperty, SpmvAddAddsTheSpmvBits) {

@@ -13,7 +13,6 @@
 #include "app/service.h"
 #include "common/error.h"
 #include "common/parallel.h"
-#include "dla/halo.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
@@ -21,10 +20,7 @@ namespace prom::app {
 namespace {
 
 struct EnvGuard {
-  ~EnvGuard() {
-    common::set_kernel_threads(0);
-    dla::set_halo_mode(dla::HaloMode::kOverlap);
-  }
+  ~EnvGuard() { common::set_kernel_threads(0); }
 };
 
 constexpr int kThreadCounts[] = {1, 2, 8};
@@ -237,15 +233,6 @@ TEST(ServiceSolve, BlockedMatchesSingleAcrossRanks) {
       check_blocked_matches_single(service, make_rhs_block(n, 3));
     }
   }
-}
-
-TEST(ServiceSolve, BlockedMatchesSingleUnderSyncHalo) {
-  const EnvGuard guard;
-  dla::set_halo_mode(dla::HaloMode::kSync);
-  SolveService service(small_config(2, mg::MatrixFormat::kCsr));
-  service.register_problem("box", make_box_problem(4));
-  const idx n = service.acquire("box")->unknowns;
-  check_blocked_matches_single(service, make_rhs_block(n, 3));
 }
 
 TEST(ServiceRefine, FingerprintSeparatesRefineRounds) {
