@@ -530,7 +530,7 @@ int run_format_comparison() {
     la::MultiVec xk(a.ncols, k), yk(a.nrows, k);
     for (int j = 0; j < k; ++j) std::copy(x.begin(), x.end(), xk.col_data(j));
     return best_mean_ns(reps, iters, [&] {
-      a.spmm(xk, yk);
+      a.spmv(xk, yk);
       benchmark::DoNotOptimize(yk.data());
     });
   };

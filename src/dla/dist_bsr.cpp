@@ -255,7 +255,7 @@ void DistBsr::spmv(parx::Comm& comm, la::BlockCRef x_local,
   const la::BlockRef ext = grow_block(x_ext_, local_.cols(), k);
   const la::BlockRef out = grow_block(out_pad_, local_.rows(), k);
   halo_apply(comm, plan_, x_local, ext, slot_of_owned_col_, [&](bool bdry) {
-    local_.spmm_brows(ext, out, bdry ? boundary_brows_ : interior_brows_);
+    local_.spmv_brows(ext, out, bdry ? boundary_brows_ : interior_brows_);
   });
   take_free_rows(row_slot_of_free_, out, y_local);
 }
@@ -275,8 +275,8 @@ void DistBsr::residual(parx::Comm& comm, la::BlockCRef b_local,
     for (idx i = 0; i < nlocal_; ++i) bp[row_slot_of_free_[i]] = bj[i];
   }
   halo_apply(comm, plan_, x_local, ext, slot_of_owned_col_, [&](bool bdry) {
-    local_.residual_mv_brows(bpad, ext, out,
-                             bdry ? boundary_brows_ : interior_brows_);
+    local_.residual_brows(bpad, ext, out,
+                          bdry ? boundary_brows_ : interior_brows_);
   });
   take_free_rows(row_slot_of_free_, out, r_local);
 }

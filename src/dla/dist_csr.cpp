@@ -174,7 +174,7 @@ void DistCsr::spmv(parx::Comm& comm, la::BlockCRef x_local,
              y_local.rows() == local_.nrows && y_local.cols() == k);
   const la::BlockRef ext = grow_block(x_ext_, local_.ncols, k);
   halo_apply(comm, plan_, x_local, ext, {}, [&](bool boundary) {
-    local_.spmm_rows(ext, y_local, boundary ? boundary_rows_ : interior_rows_);
+    local_.spmv_rows(ext, y_local, boundary ? boundary_rows_ : interior_rows_);
   });
 }
 
@@ -186,8 +186,8 @@ void DistCsr::residual(parx::Comm& comm, la::BlockCRef b_local,
              r_local.rows() == local_.nrows && r_local.cols() == k);
   const la::BlockRef ext = grow_block(x_ext_, local_.ncols, k);
   halo_apply(comm, plan_, x_local, ext, {}, [&](bool boundary) {
-    local_.residual_mv_rows(b_local, ext, r_local,
-                            boundary ? boundary_rows_ : interior_rows_);
+    local_.residual_rows(b_local, ext, r_local,
+                         boundary ? boundary_rows_ : interior_rows_);
   });
 }
 
@@ -199,11 +199,11 @@ void DistCsr::spmv_transpose(parx::Comm& comm, la::BlockCRef x_local,
              y_local.cols() == k);
   const la::BlockRef ext = grow_block(y_ext_, local_.ncols, k);
 
-  // Local A^T x over the extended column space, column by column; ghost
+  // Local A^T X over the extended column space in one call; ghost
   // contributions then travel the plan's reverse path back to their
   // owners. Every owned entry of y_local is overwritten by the copy, so
   // no zero-fill.
-  for (int j = 0; j < k; ++j) local_.spmv_transpose(x_local.col(j), ext.col(j));
+  local_.spmv_transpose(x_local, ext);
   plan_.reverse_post(comm, ext);
   for (int j = 0; j < k; ++j) {
     std::copy(ext.col_data(j), ext.col_data(j) + n_own_cols,

@@ -9,15 +9,8 @@ la::KrylovResult dist_pcg(parx::Comm& comm, const DistOperator& a,
                           const DistOperator* m, std::span<const real> b_local,
                           std::span<real> x_local,
                           const la::KrylovOptions& opts) {
-  return la::pcg_any(ParxBackend{&comm}, a, m, b_local, x_local, opts);
-}
-
-std::vector<la::KrylovResult> dist_pcg_multi(
-    parx::Comm& comm, const DistOperator& a, const DistOperator* m,
-    const la::MultiVec& b_local, la::MultiVec& x_local,
-    const la::KrylovOptions& opts, la::KrylovWorkspace* ws) {
-  return la::pcg_multi_any(ParxBackend{&comm}, a, m, b_local, x_local, opts,
-                           ws);
+  return la::pcg_any(ParxBackend{&comm}, a, m, b_local, x_local, opts)
+      .front();
 }
 
 la::KrylovResult dist_gmres(parx::Comm& comm, const DistOperator& a,

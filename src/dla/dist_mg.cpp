@@ -162,113 +162,63 @@ struct DistCycleView {
   bool level_inactive(int l) const {
     return comm->rank() >= h->active_ranks(l);
   }
-  void smooth(int l, std::span<const real> b, std::span<real> x) const {
+  void smooth(int l, la::BlockCRef b, la::BlockRef x) const {
     h->level(l).smooth(*comm, b, x);
   }
-  void apply_a(int l, std::span<const real> x, std::span<real> y) const {
+  void apply_a(int l, la::BlockCRef x, la::BlockRef y) const {
     const DistMgLevel& lv = h->level(l);
     with_operator(lv, apply_format(lv),
                   [&](const auto& a) { a.apply(*comm, x, y); });
   }
-  void restrict_to(int l, std::span<const real> xf, std::span<real> xc) const {
+  void restrict_to(int l, la::BlockCRef xf, la::BlockRef xc) const {
     h->level(l).r.spmv(*comm, xf, xc);
   }
-  void prolong(int l, std::span<const real> xc, std::span<real> xf) const {
+  void prolong(int l, la::BlockCRef xc, la::BlockRef xf) const {
     h->level(l).r.spmv_transpose(*comm, xc, xf);
   }
-  void coarse_solve(std::span<const real> b, std::span<real> x) const {
+  void coarse_solve(la::BlockCRef b, la::BlockRef x) const {
     const int nl = h->num_levels();
     const DistMgLevel& lv = h->level(nl - 1);
-    if (lv.direct != nullptr || lv.direct_lu != nullptr) {
-      // Redundant coarse solve: gather, factor-solve locally, keep my
-      // slice (§5 — the coarsest problem is constant-size). When the
-      // coarsest level is agglomerated, only its active ranks reach this
-      // point (the cycle skips idle ranks), so the gather collective must
-      // run over the active subset alone.
-      const int active = h->active_ranks(nl - 1);
-      std::vector<real> b_full;
-      if (active < comm->size()) {
-        parx::Comm sub = active_subcomm(*comm, active);
-        b_full =
-            dist_gather_all(sub, active_rowdist(lv.a.row_dist(), active), b);
-      } else {
-        b_full = dist_gather_all(*comm, lv.a.row_dist(), b);
-      }
-      std::vector<real> x_full(b_full.size());
-      if (lv.direct != nullptr) {
-        lv.direct->solve(b_full, x_full);
-      } else {
-        lv.direct_lu->solve(b_full, x_full);
-      }
-      const idx b0 = lv.a.row_dist().begin(comm->rank());
-      for (idx i = 0; i < lv.local_n(); ++i) x[i] = x_full[b0 + i];
-    } else {
+    if (lv.direct == nullptr && lv.direct_lu == nullptr) {
       // Single-level hierarchy: a few smoothing steps stand in.
       for (int s = 0; s < 4; ++s) lv.smooth(*comm, b, x);
+      return;
     }
-  }
-
-  // Column-blocked level operations (MultiCycleView); column j bitwise
-  // equals the scalar operation on that column.
-  void smooth_mv(int l, const la::MultiVec& b, la::MultiVec& x) const {
-    h->level(l).smooth_mv(*comm, b, x);
-  }
-  void apply_a_mv(int l, const la::MultiVec& x, la::MultiVec& y) const {
-    const DistMgLevel& lv = h->level(l);
-    with_operator(lv, apply_format(lv),
-                  [&](const auto& a) { a.apply_mv(*comm, x, y); });
-  }
-  void restrict_to_mv(int l, const la::MultiVec& xf, la::MultiVec& xc) const {
-    h->level(l).r.spmm(*comm, xf, xc);
-  }
-  void prolong_mv(int l, const la::MultiVec& xc, la::MultiVec& xf) const {
-    h->level(l).r.spmv_transpose(*comm, xc, xf);
-  }
-  void coarse_solve_mv(const la::MultiVec& b, la::MultiVec& x) const {
-    const int nl = h->num_levels();
-    const DistMgLevel& lv = h->level(nl - 1);
-    if (lv.direct != nullptr || lv.direct_lu != nullptr) {
-      // One allgatherv carries every column and one factor-solve serves
-      // them all, in place. Same active-subset rule as the scalar path.
-      const int active = h->active_ranks(nl - 1);
-      la::MultiVec b_full;
-      if (active < comm->size()) {
-        parx::Comm sub = active_subcomm(*comm, active);
-        b_full = dist_gather_all_mv(
-            sub, active_rowdist(lv.a.row_dist(), active), b);
-      } else {
-        b_full = dist_gather_all_mv(*comm, lv.a.row_dist(), b);
-      }
-      const idx n = b_full.rows();
-      const int k = b_full.cols();
-      const std::span<real> full(b_full.data(),
-                                 static_cast<std::size_t>(n) * k);
-      if (lv.direct != nullptr) {
-        lv.direct->solve_mv(full, full, k, n);
-      } else {
-        lv.direct_lu->solve_mv(full, full, k, n);
-      }
-      const idx b0 = lv.a.row_dist().begin(comm->rank());
-      for (int j = 0; j < k; ++j) {
-        const real* fj = b_full.col_data(j);
-        real* xj = x.col_data(j);
-        for (idx i = 0; i < lv.local_n(); ++i) xj[i] = fj[b0 + i];
-      }
+    // Redundant coarse solve (§5 — the coarsest problem is constant-size):
+    // one allgatherv carries every column, one factor-solve serves them
+    // all in place, and each rank keeps its slice. When the coarsest level
+    // is agglomerated, only its active ranks reach this point (the cycle
+    // skips idle ranks), so the gather runs over the active subset alone.
+    const int active = h->active_ranks(nl - 1);
+    la::MultiVec full;
+    if (active < comm->size()) {
+      parx::Comm sub = active_subcomm(*comm, active);
+      full = dist_gather_all_mv(sub, active_rowdist(lv.a.row_dist(), active),
+                                b);
     } else {
-      for (int s = 0; s < 4; ++s) lv.smooth_mv(*comm, b, x);
+      full = dist_gather_all_mv(*comm, lv.a.row_dist(), b);
+    }
+    const idx n = full.rows();
+    const int k = full.cols();
+    const std::span<real> all(full.data(), static_cast<std::size_t>(n) * k);
+    if (lv.direct != nullptr) {
+      lv.direct->solve_mv(all, all, k, n);
+    } else {
+      lv.direct_lu->solve_mv(all, all, k, n);
+    }
+    const idx b0 = lv.a.row_dist().begin(comm->rank());
+    for (int j = 0; j < k; ++j) {
+      std::copy(full.col_data(j) + b0, full.col_data(j) + b0 + lv.local_n(),
+                x.col_data(j));
     }
   }
 };
-
-}  // namespace
-
-namespace {
 
 /// Smoother dispatch over the operator view: the sweeps are generic in
 /// the operator, so the CSR and node-block paths share one body.
 template <class Op>
 void smooth_with(const DistMgLevel& lv, parx::Comm& comm, const Op& op,
-                 std::span<const real> b_local, std::span<real> x_local) {
+                 la::BlockCRef b_local, la::BlockRef x_local) {
   const ParxBackend be{&comm};
   switch (lv.kind) {
     case mg::SmootherKind::kJacobi:
@@ -285,32 +235,11 @@ void smooth_with(const DistMgLevel& lv, parx::Comm& comm, const Op& op,
   }
 }
 
-/// Column-blocked smoother dispatch; same structure as smooth_with over
-/// the mv sweeps.
-template <class Op>
-void smooth_with_mv(const DistMgLevel& lv, parx::Comm& comm, const Op& op,
-                    const la::MultiVec& b_local, la::MultiVec& x_local) {
-  const ParxBackend be{&comm};
-  switch (lv.kind) {
-    case mg::SmootherKind::kJacobi:
-      la::jacobi_sweep_mv(be, op, lv.inv_diag, lv.omega, b_local, x_local);
-      break;
-    case mg::SmootherKind::kChebyshev:
-      la::chebyshev_sweep_mv(be, op, lv.inv_diag, lv.cheby_degree,
-                             lv.cheby_lmin, lv.cheby_lmax, b_local, x_local);
-      break;
-    default:
-      la::block_jacobi_sweep_mv(be, op, lv.blocks, lv.factors, lv.omega,
-                                b_local, x_local);
-      break;
-  }
-}
-
 }  // namespace
 
-void DistMgLevel::smooth(parx::Comm& comm, std::span<const real> b_local,
-                         std::span<real> x_local) const {
-  const auto sweep = [&](std::span<real> x) {
+void DistMgLevel::smooth(parx::Comm& comm, la::BlockCRef b_local,
+                         la::BlockRef x_local) const {
+  const auto sweep = [&](la::BlockRef x) {
     with_operator(*this, smooth_format(*this), [&](const auto& op) {
       smooth_with(*this, comm, op, b_local, x);
     });
@@ -320,24 +249,11 @@ void DistMgLevel::smooth(parx::Comm& comm, std::span<const real> b_local,
   // sweep runs on a scratch copy — same exchanges on every rank, since
   // the masked flag is a level property, not a rank property — and only
   // the refined-region rows this rank owns take the update.
-  std::vector<real> tmp(x_local.begin(), x_local.end());
-  sweep(tmp);
-  for (idx i : smooth_rows_local) x_local[i] = tmp[i];
-}
-
-void DistMgLevel::smooth_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                            la::MultiVec& x_local) const {
-  const auto sweep = [&](la::MultiVec& x) {
-    with_operator(*this, smooth_format(*this), [&](const auto& op) {
-      smooth_with_mv(*this, comm, op, b_local, x);
-    });
-  };
-  if (!smooth_masked) return sweep(x_local);
-  la::MultiVec tmp = x_local;
+  la::MultiVec tmp(x_local);
   sweep(tmp);
   for (int j = 0; j < x_local.cols(); ++j) {
-    real* xj = x_local.col_data(j);
     const real* tj = tmp.col_data(j);
+    real* xj = x_local.col_data(j);
     for (idx i : smooth_rows_local) xj[i] = tj[i];
   }
 }
@@ -555,41 +471,33 @@ void dist_vcycle(parx::Comm& comm, const DistHierarchy& h, int level,
 
 std::vector<real> dist_fmg_cycle(parx::Comm& comm, const DistHierarchy& h,
                                  std::span<const real> b_local) {
-  return mg::fmg_any(DistCycleView{&comm, &h}, b_local);
+  std::vector<real> x(b_local.size());
+  mg::fmg_any(DistCycleView{&comm, &h}, b_local, x);
+  return x;
 }
 
-void DistMgPreconditioner::apply(parx::Comm& comm,
-                                 std::span<const real> x_local,
-                                 std::span<real> y_local) const {
+void DistMgPreconditioner::apply(parx::Comm& comm, la::BlockCRef x_local,
+                                 la::BlockRef y_local) const {
   mg::apply_cycle(DistCycleView{&comm, h_}, kind_, x_local, y_local);
 }
 
-void DistMgPreconditioner::apply_mv(parx::Comm& comm,
-                                    const la::MultiVec& x_local,
-                                    la::MultiVec& y_local) const {
-  mg::apply_cycle_mv(DistCycleView{&comm, h_}, kind_, x_local, y_local);
+std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(
+    parx::Comm& comm, const DistHierarchy& h, la::BlockCRef b_local,
+    la::BlockRef x_local, const mg::MgSolveOptions& opts,
+    la::KrylovWorkspace* ws) {
+  const DistMgPreconditioner precond(h, opts.cycle);
+  const DistOperator* m = &precond;
+  return with_operator(h.level(0), opts.format, [&](const DistOperator& a) {
+    return la::pcg_any(ParxBackend{&comm}, a, m, b_local, x_local,
+                       mg::to_krylov_options(opts), ws);
+  });
 }
 
 la::KrylovResult dist_mg_pcg_solve(parx::Comm& comm, const DistHierarchy& h,
                                    std::span<const real> b_local,
                                    std::span<real> x_local,
                                    const mg::MgSolveOptions& opts) {
-  const DistMgPreconditioner precond(h, opts.cycle);
-  return with_operator(h.level(0), opts.format, [&](const auto& a) {
-    return dist_pcg(comm, a, &precond, b_local, x_local,
-                    mg::to_krylov_options(opts));
-  });
-}
-
-std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(
-    parx::Comm& comm, const DistHierarchy& h, const la::MultiVec& b_local,
-    la::MultiVec& x_local, const mg::MgSolveOptions& opts,
-    la::KrylovWorkspace* ws) {
-  const DistMgPreconditioner precond(h, opts.cycle);
-  return with_operator(h.level(0), opts.format, [&](const auto& a) {
-    return dist_pcg_multi(comm, a, &precond, b_local, x_local,
-                          mg::to_krylov_options(opts), ws);
-  });
+  return dist_mg_pcg_solve_mv(comm, h, b_local, x_local, opts).front();
 }
 
 la::KrylovResult dist_mg_krylov_solve(parx::Comm& comm,

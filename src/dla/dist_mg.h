@@ -87,15 +87,12 @@ struct DistMgLevel {
 
   idx local_n() const { return a.local_rows(); }
 
-  /// One smoothing step of the configured kind (collective).
-  void smooth(parx::Comm& comm, std::span<const real> b_local,
-              std::span<real> x_local) const;
-
-  /// Column-blocked smoothing step: one exchange per operator application
-  /// serves all k columns; column j bitwise equals `smooth` on that
-  /// column. Collective.
-  void smooth_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                 la::MultiVec& x_local) const;
+  /// One smoothing step of the configured kind on k columns (a single
+  /// vector is the k=1 block): one exchange per operator application
+  /// serves every column, and column j bitwise equals the k=1 step on
+  /// that column. Collective.
+  void smooth(parx::Comm& comm, la::BlockCRef b_local,
+              la::BlockRef x_local) const;
 };
 
 class DistHierarchy {
@@ -152,38 +149,42 @@ void dist_vcycle(parx::Comm& comm, const DistHierarchy& h, int level,
 std::vector<real> dist_fmg_cycle(parx::Comm& comm, const DistHierarchy& h,
                                  std::span<const real> b_local);
 
-/// The distributed FMG/V-cycle preconditioner.
+/// The distributed FMG/V-cycle preconditioner: one cycle serves all k
+/// columns of a block.
 class DistMgPreconditioner final : public DistOperator {
  public:
   DistMgPreconditioner(const DistHierarchy& h, mg::CycleKind kind)
       : h_(&h), kind_(kind) {}
   idx local_n() const override { return h_->level(0).local_n(); }
-  void apply(parx::Comm& comm, std::span<const real> x_local,
-             std::span<real> y_local) const override;
+  void apply(parx::Comm& comm, la::BlockCRef x_local,
+             la::BlockRef y_local) const override;
+  /// The k-column spelling of apply.
   void apply_mv(parx::Comm& comm, const la::MultiVec& x_local,
-                la::MultiVec& y_local) const override;
+                la::MultiVec& y_local) const {
+    apply(comm, x_local, y_local);
+  }
 
  private:
   const DistHierarchy* h_;
   mg::CycleKind kind_;
 };
 
-/// Distributed MG-preconditioned CG (collective).
+/// Distributed MG-preconditioned CG for k right-hand sides (a single
+/// vector is the k=1 block): every ghost exchange ships one message per
+/// peer carrying all k columns, and column j of the result is bitwise
+/// identical to the k=1 solve of that column (at any rank count and
+/// kernel-thread count). `ws` (optional, per rank) reuses the PCG work
+/// vectors across solves. Collective.
+std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(
+    parx::Comm& comm, const DistHierarchy& h, la::BlockCRef b_local,
+    la::BlockRef x_local, const mg::MgSolveOptions& opts = {},
+    la::KrylovWorkspace* ws = nullptr);
+
+/// Distributed MG-preconditioned CG on one right-hand side (collective).
 la::KrylovResult dist_mg_pcg_solve(parx::Comm& comm, const DistHierarchy& h,
                                    std::span<const real> b_local,
                                    std::span<real> x_local,
                                    const mg::MgSolveOptions& opts = {});
-
-/// Column-blocked distributed MG-PCG for k right-hand sides: every ghost
-/// exchange ships one message per peer carrying all k columns, and column
-/// j of the result is bitwise identical to `dist_mg_pcg_solve` on that
-/// column alone (at any rank count and kernel-thread count).
-/// `ws` (optional, per rank) reuses the PCG work vectors across solves.
-/// Collective.
-std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(
-    parx::Comm& comm, const DistHierarchy& h, const la::MultiVec& b_local,
-    la::MultiVec& x_local, const mg::MgSolveOptions& opts = {},
-    la::KrylovWorkspace* ws = nullptr);
 
 /// Distributed MG-preconditioned solve with the Krylov driver selected by
 /// `opts.krylov` (PCG, GMRES(m), or BiCGStab — the latter two for

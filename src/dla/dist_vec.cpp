@@ -46,21 +46,8 @@ real dist_nrm2(parx::Comm& comm, std::span<const real> a) {
   return std::sqrt(dist_dot(comm, a, a));
 }
 
-std::vector<real> dist_gather_all(parx::Comm& comm, const RowDist& dist,
-                                  std::span<const real> local) {
-  PROM_CHECK(static_cast<idx>(local.size()) == dist.local_size(comm.rank()));
-  const auto parts =
-      comm.allgatherv(std::vector<real>(local.begin(), local.end()));
-  std::vector<real> full(static_cast<std::size_t>(dist.global_size()));
-  for (int r = 0; r < dist.nranks(); ++r) {
-    PROM_CHECK(static_cast<idx>(parts[r].size()) == dist.local_size(r));
-    std::copy(parts[r].begin(), parts[r].end(), full.begin() + dist.begin(r));
-  }
-  return full;
-}
-
 la::MultiVec dist_gather_all_mv(parx::Comm& comm, const RowDist& dist,
-                                const la::MultiVec& local) {
+                                la::BlockCRef local) {
   const int rank = comm.rank();
   const int k = local.cols();
   PROM_CHECK(local.rows() == dist.local_size(rank));
@@ -78,6 +65,12 @@ la::MultiVec dist_gather_all_mv(parx::Comm& comm, const RowDist& dist,
     }
   }
   return full;
+}
+
+std::vector<real> dist_gather_all(parx::Comm& comm, const RowDist& dist,
+                                  std::span<const real> local) {
+  const la::MultiVec full = dist_gather_all_mv(comm, dist, local);
+  return {full.data(), full.data() + full.rows()};
 }
 
 }  // namespace prom::dla

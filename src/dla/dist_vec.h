@@ -43,14 +43,14 @@ real dist_dot(parx::Comm& comm, std::span<const real> a,
 /// ||a||_2 over the distributed vector.
 real dist_nrm2(parx::Comm& comm, std::span<const real> a);
 
-/// Gathers a distributed vector to a full copy on every rank.
-std::vector<real> dist_gather_all(parx::Comm& comm, const RowDist& dist,
-                                  std::span<const real> local);
-
 /// Gathers k distributed vectors to full copies on every rank with a
 /// single allgatherv (each rank contributes its column-major local
-/// block). Column j bitwise equals dist_gather_all on that column.
+/// block); column j bitwise equals the k=1 gather of that column.
 la::MultiVec dist_gather_all_mv(parx::Comm& comm, const RowDist& dist,
-                                const la::MultiVec& local);
+                                la::BlockCRef local);
+
+/// Gathers one distributed vector to a full copy on every rank.
+std::vector<real> dist_gather_all(parx::Comm& comm, const RowDist& dist,
+                                  std::span<const real> local);
 
 }  // namespace prom::dla

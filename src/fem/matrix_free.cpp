@@ -481,15 +481,7 @@ MatrixFreeOperator MatrixFreeOperator::build(const mesh::Mesh& mesh,
   return MatrixFreeOperator(std::move(core));
 }
 
-void MatrixFreeOperator::apply(std::span<const real> x,
-                               std::span<real> y) const {
-  const obs::Span span("mf.apply");
-  core_.pass_a(x, 0, core_.num_batches());
-  core_.pass_b_apply(y);
-}
-
-void MatrixFreeOperator::apply_mv(const la::MultiVec& x,
-                                  la::MultiVec& y) const {
+void MatrixFreeOperator::apply(la::BlockCRef x, la::BlockRef y) const {
   const obs::Span span("mf.apply");
   for (int j = 0; j < x.cols(); ++j) {
     core_.pass_a(x.col(j), 0, core_.num_batches());
@@ -497,17 +489,8 @@ void MatrixFreeOperator::apply_mv(const la::MultiVec& x,
   }
 }
 
-void MatrixFreeOperator::residual(std::span<const real> b,
-                                  std::span<const real> x,
-                                  std::span<real> r) const {
-  const obs::Span span("mf.apply");
-  core_.pass_a(x, 0, core_.num_batches());
-  core_.pass_b_residual(b, r);
-}
-
-void MatrixFreeOperator::residual_mv(const la::MultiVec& b,
-                                     const la::MultiVec& x,
-                                     la::MultiVec& r) const {
+void MatrixFreeOperator::residual(la::BlockCRef b, la::BlockCRef x,
+                                  la::BlockRef r) const {
   const obs::Span span("mf.apply");
   for (int j = 0; j < x.cols(); ++j) {
     core_.pass_a(x.col(j), 0, core_.num_batches());

@@ -132,19 +132,12 @@ class MatrixFreeOperator final : public la::LinearOperator {
   idx rows() const override { return core_.num_rows(); }
   idx cols() const override { return core_.num_slots(); }
 
-  /// y = K_ff x.
-  void apply(std::span<const real> x, std::span<real> y) const override;
-  /// Batched apply: the element sweep runs once per column (the single
-  /// fe_ buffer is reused), each column bitwise-equal to `apply`, under
-  /// one mf.apply span.
-  void apply_mv(const la::MultiVec& x, la::MultiVec& y) const override;
-  /// r = b - K_ff x (same one-subtraction-per-entry rounding as the
+  /// Y = K_ff X: the element sweep runs once per column (the single fe_
+  /// buffer is reused), under one mf.apply span.
+  void apply(la::BlockCRef x, la::BlockRef y) const override;
+  /// R = B - K_ff X (same one-subtraction-per-entry rounding as the
   /// compose-then-waxpby fallback).
-  void residual(std::span<const real> b, std::span<const real> x,
-                std::span<real> r) const;
-  /// Column-blocked fused residual.
-  void residual_mv(const la::MultiVec& b, const la::MultiVec& x,
-                   la::MultiVec& r) const;
+  void residual(la::BlockCRef b, la::BlockCRef x, la::BlockRef r) const;
   /// Subset-row variants: full element sweep, scatter restricted to
   /// `rows` (entries of y / r outside the subset are left untouched).
   void apply_rows(std::span<const real> x, std::span<real> y,

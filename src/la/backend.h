@@ -24,80 +24,56 @@ namespace prom::la {
 /// What the generic solver templates require of a backend B driving an
 /// operator type Op. `local_n` is the length of the locally-stored block of
 /// a distributed vector (the whole vector for the serial backend); `apply`
-/// computes y = Op x on local blocks, communicating internally if needed;
-/// `reduce_sum` combines a locally-computed partial reduction into the
-/// global value on every caller.
+/// computes Y = Op X on local column blocks (a single vector is one
+/// column), communicating internally if needed; `reduce_sum` combines a
+/// locally-computed partial reduction into the global value on every
+/// caller.
 template <class B, class Op>
 concept BackendFor =
-    requires(const B& be, const Op& op, std::span<const real> cx,
-             std::span<real> mx, real v) {
+    requires(const B& be, const Op& op, BlockCRef cx, BlockRef mx,
+             std::span<const real> cs, std::span<real> ms, real v) {
       { be.local_n(op) } -> std::convertible_to<idx>;
       be.apply(op, cx, mx);
       be.residual(op, cx, cx, mx);
       { be.reduce_sum(v) } -> std::convertible_to<real>;
-      { be.dot(cx, cx) } -> std::convertible_to<real>;
-      { be.norm2(cx) } -> std::convertible_to<real>;
-      be.axpy(v, cx, mx);
+      { be.dot(cs, cs) } -> std::convertible_to<real>;
+      { be.norm2(cs) } -> std::convertible_to<real>;
+      be.axpy(v, cs, ms);
     };
 
-/// Single-address-space backend: operators are la::LinearOperator (or any
-/// type with rows()/apply()), vectors are plain spans, reductions are
-/// already global.
-struct SerialBackend {
-  /// Local storage of a vector (= the whole vector on this backend).
-  using Vec = std::span<real>;
+/// R = B - R column by column, in place — the unfused half of a residual
+/// (one subtraction per entry, so it rounds exactly like a fused kernel).
+inline void subtract_from(BlockCRef b, BlockRef r) {
+  for (int j = 0; j < r.cols(); ++j) {
+    waxpby(1, b.col(j), -1, r.col(j), r.col(j));
+  }
+}
 
+/// Single-address-space backend: operators are la::LinearOperator (or any
+/// type with rows()/apply()), vectors are plain column blocks, reductions
+/// are already global.
+struct SerialBackend {
   template <class Op>
   idx local_n(const Op& op) const {
     return op.rows();
   }
 
   template <class Op>
-  void apply(const Op& op, std::span<const real> x, std::span<real> y) const {
+  void apply(const Op& op, BlockCRef x, BlockRef y) const {
     op.apply(x, y);
   }
 
-  /// r = b - Op x. Operators exposing a fused residual kernel (the blocked
+  /// R = B - Op X. Operators exposing a fused residual kernel (the sparse
   /// formats) get it; the fallback composes apply + waxpby, which produces
   /// the same bits (one subtraction per entry either way), so backends may
   /// fuse freely without perturbing residual histories.
   template <class Op>
-  void residual(const Op& op, std::span<const real> b,
-                std::span<const real> x, std::span<real> r) const {
+  void residual(const Op& op, BlockCRef b, BlockCRef x, BlockRef r) const {
     if constexpr (requires { op.residual(b, x, r); }) {
       op.residual(b, x, r);
     } else {
       apply(op, x, r);
-      waxpby(1, b, -1, r, r);
-    }
-  }
-
-  /// Y = Op X, column-blocked. Dispatches to an operator SpMM when one is
-  /// exposed (including the virtual LinearOperator::apply_mv); the
-  /// fallback applies column by column. Either way column j is bitwise
-  /// identical to `apply` on that column alone.
-  template <class Op>
-  void apply_mv(const Op& op, const MultiVec& x, MultiVec& y) const {
-    if constexpr (requires { op.apply_mv(x, y); }) {
-      op.apply_mv(x, y);
-    } else {
-      for (int j = 0; j < x.cols(); ++j) apply(op, x.col(j), y.col(j));
-    }
-  }
-
-  /// R = B - Op X, column-blocked, with the same fused-vs-composed
-  /// dispatch as `residual` — both arms subtract once per entry, so the
-  /// residual history of every column is unperturbed.
-  template <class Op>
-  void residual_mv(const Op& op, const MultiVec& b, const MultiVec& x,
-                   MultiVec& r) const {
-    if constexpr (requires { op.residual_mv(b, x, r); }) {
-      op.residual_mv(b, x, r);
-    } else {
-      apply_mv(op, x, r);
-      for (int j = 0; j < x.cols(); ++j) {
-        waxpby(1, b.col(j), -1, r.col(j), r.col(j));
-      }
+      subtract_from(b, r);
     }
   }
 

@@ -16,13 +16,6 @@ namespace {
 /// BS=3 cover ~the same scalar span as la/csr.cpp's kRowGrain.
 constexpr idx kBlockRowGrain = 128;
 constexpr idx kBlockSpgemmGrain = 512;
-constexpr idx kMergeGrain = 8192;
-
-/// Transpose-SpMV scatter chunks (block rows). Each chunk owns a private
-/// accumulator of `cols()` reals, so the count is capped to bound memory.
-idx transpose_grain(idx nbrows) {
-  return std::max<idx>(1024, (nbrows + 7) / 8);
-}
 
 /// Inverts a dense BS x BS row-major block by Gauss-Jordan with partial
 /// pivoting. Returns false on a (numerically) singular block.
@@ -129,7 +122,7 @@ void brows_core(const Bsr<BS>& a, std::span<const real* const> xp,
 }
 
 template <int BS>
-void check_mv_shapes(const Bsr<BS>& a, BlockCRef x, BlockCRef y) {
+void check_shapes(const Bsr<BS>& a, BlockCRef x, BlockCRef y) {
   PROM_CHECK(x.rows() == a.cols() && y.rows() == a.rows() &&
              x.cols() == y.cols() && x.cols() >= 1);
 }
@@ -169,105 +162,41 @@ void fused_residual(const Bsr<BS>& a, BlockCRef b, BlockCRef x, BlockRef r,
 }  // namespace
 
 template <int BS>
-void Bsr<BS>::spmv(std::span<const real> x, std::span<real> y) const {
-  spmm(x, y);
-}
-
-template <int BS>
-void Bsr<BS>::spmv_add(std::span<const real> x, std::span<real> y) const {
-  check_mv_shapes(*this, x, y);
-  const real* xp = x.data();
-  brows_core(*this, {&xp, 1}, {}, [&](idx i, int, const real* acc) {
-    real* yi = y.data() + static_cast<std::size_t>(i) * BS;
-    for (int r = 0; r < BS; ++r) yi[r] += acc[r];
-  });
-}
-
-template <int BS>
-void Bsr<BS>::residual(std::span<const real> b, std::span<const real> x,
-                       std::span<real> r) const {
-  residual_mv(b, x, r);
-}
-
-template <int BS>
-void Bsr<BS>::spmm(BlockCRef x, BlockRef y) const {
-  check_mv_shapes(*this, x, y);
+void Bsr<BS>::spmv(BlockCRef x, BlockRef y) const {
+  check_shapes(*this, x, y);
   product(*this, x, y, {});
 }
 
 template <int BS>
-void Bsr<BS>::residual_mv(BlockCRef b, BlockCRef x, BlockRef r) const {
-  check_mv_shapes(*this, x, r);
+void Bsr<BS>::spmv_add(BlockCRef x, BlockRef y) const {
+  check_shapes(*this, x, y);
+  const auto xp = col_ptrs(x);
+  const auto yp = col_ptrs(y);
+  brows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, {},
+             [&](idx i, int j, const real* acc) {
+               real* yi = yp[j] + static_cast<std::size_t>(i) * BS;
+               for (int r = 0; r < BS; ++r) yi[r] += acc[r];
+             });
+}
+
+template <int BS>
+void Bsr<BS>::residual(BlockCRef b, BlockCRef x, BlockRef r) const {
+  check_shapes(*this, x, r);
   fused_residual(*this, b, x, r, {});
 }
 
 template <int BS>
-void Bsr<BS>::spmm_brows(BlockCRef x, BlockRef y,
+void Bsr<BS>::spmv_brows(BlockCRef x, BlockRef y,
                          std::span<const idx> brows) const {
-  check_mv_shapes(*this, x, y);
+  check_shapes(*this, x, y);
   if (!brows.empty()) product(*this, x, y, brows);
 }
 
 template <int BS>
-void Bsr<BS>::residual_mv_brows(BlockCRef b, BlockCRef x, BlockRef r,
-                                std::span<const idx> brows) const {
-  check_mv_shapes(*this, x, r);
+void Bsr<BS>::residual_brows(BlockCRef b, BlockCRef x, BlockRef r,
+                             std::span<const idx> brows) const {
+  check_shapes(*this, x, r);
   if (!brows.empty()) fused_residual(*this, b, x, r, brows);
-}
-
-template <int BS>
-void Bsr<BS>::spmv_transpose(std::span<const real> x,
-                             std::span<real> y) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == rows() &&
-             static_cast<idx>(y.size()) == cols());
-  const idx grain = transpose_grain(nbrows);
-  const idx nchunks = common::chunk_count(0, nbrows, grain);
-  if (nchunks <= 1) {
-    std::fill(y.begin(), y.end(), real{0});
-    for (idx i = 0; i < nbrows; ++i) {
-      const real* xi = x.data() + static_cast<std::size_t>(i) * BS;
-      for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-        const real* blk =
-            vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-        real* yj = y.data() + static_cast<std::size_t>(bcolidx[k]) * BS;
-        for (int r = 0; r < BS; ++r) {
-          for (int c = 0; c < BS; ++c) yj[c] += blk[r * BS + c] * xi[r];
-        }
-      }
-    }
-    count_flops(2 * kBlockSize * nblocks());
-    return;
-  }
-  // Scatter into per-chunk accumulators (disjoint by construction), then
-  // merge column-parallel in fixed chunk order — same scheme as
-  // Csr::spmv_transpose, so any thread count produces the same bits.
-  const std::size_t width = static_cast<std::size_t>(cols());
-  std::vector<real> partial(static_cast<std::size_t>(nchunks) * width,
-                            real{0});
-  common::parallel_for(0, nbrows, grain, [&](idx rb, idx re) {
-    real* acc = partial.data() + static_cast<std::size_t>(rb / grain) * width;
-    for (idx i = rb; i < re; ++i) {
-      const real* xi = x.data() + static_cast<std::size_t>(i) * BS;
-      for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-        const real* blk =
-            vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-        real* aj = acc + static_cast<std::size_t>(bcolidx[k]) * BS;
-        for (int r = 0; r < BS; ++r) {
-          for (int c = 0; c < BS; ++c) aj[c] += blk[r * BS + c] * xi[r];
-        }
-      }
-    }
-  });
-  common::parallel_for(0, cols(), kMergeGrain, [&](idx jb, idx je) {
-    for (idx j = jb; j < je; ++j) {
-      real sum = 0;
-      for (idx c = 0; c < nchunks; ++c) {
-        sum += partial[static_cast<std::size_t>(c) * width + j];
-      }
-      y[j] = sum;
-    }
-  });
-  count_flops(2 * kBlockSize * nblocks());
 }
 
 template <int BS>
@@ -705,35 +634,16 @@ BsrOperator::BsrOperator(Bsr3 a, NodeBlockMap map)
   PROM_CHECK(a_.nbrows == map_.nnodes && a_.nbcols == map_.nnodes);
 }
 
-void BsrOperator::apply(std::span<const real> x, std::span<real> y) const {
-  const std::size_t ns = static_cast<std::size_t>(map_.nslots());
-  std::vector<real> xs(ns), ys(ns);
-  map_.gather(x, xs);
-  a_.spmv(xs, ys);
-  map_.scatter(ys, y);
-}
-
-void BsrOperator::apply_mv(const MultiVec& x, MultiVec& y) const {
+void BsrOperator::apply(BlockCRef x, BlockRef y) const {
   const idx ns = map_.nslots();
   const int ncol = x.cols();
   MultiVec xs(ns, ncol), ys(ns, ncol);
   for (int j = 0; j < ncol; ++j) map_.gather(x.col(j), xs.col(j));
-  a_.spmm(xs, ys);
+  a_.spmv(xs, ys);
   for (int j = 0; j < ncol; ++j) map_.scatter(ys.col(j), y.col(j));
 }
 
-void BsrOperator::residual(std::span<const real> b, std::span<const real> x,
-                           std::span<real> r) const {
-  const std::size_t ns = static_cast<std::size_t>(map_.nslots());
-  std::vector<real> xs(ns), bs(ns), rs(ns);
-  map_.gather(x, xs);
-  map_.gather(b, bs);
-  a_.residual(bs, xs, rs);
-  map_.scatter(rs, r);
-}
-
-void BsrOperator::residual_mv(const MultiVec& b, const MultiVec& x,
-                              MultiVec& r) const {
+void BsrOperator::residual(BlockCRef b, BlockCRef x, BlockRef r) const {
   const idx ns = map_.nslots();
   const int ncol = x.cols();
   MultiVec xs(ns, ncol), bs(ns, ncol), rs(ns, ncol);
@@ -741,7 +651,7 @@ void BsrOperator::residual_mv(const MultiVec& b, const MultiVec& x,
     map_.gather(x.col(j), xs.col(j));
     map_.gather(b.col(j), bs.col(j));
   }
-  a_.residual_mv(bs, xs, rs);
+  a_.residual(bs, xs, rs);
   for (int j = 0; j < ncol; ++j) map_.scatter(rs.col(j), r.col(j));
 }
 

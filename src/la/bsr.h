@@ -54,35 +54,26 @@ struct Bsr {
   idx rows() const { return BS * nbrows; }
   idx cols() const { return BS * nbcols; }
 
-  /// y = A x (scalar vectors of length cols() / rows()).
-  void spmv(std::span<const real> x, std::span<real> y) const;
+  /// Y = A X over k columns of scalar vectors of length cols() / rows()
+  /// (a single vector is the k=1 block): one pass over the block
+  /// structure feeds one accumulator per column, each in the scalar CSR
+  /// order, so column j is bitwise identical to the k=1 product.
+  void spmv(BlockCRef x, BlockRef y) const;
 
-  /// y += A x
-  void spmv_add(std::span<const real> x, std::span<real> y) const;
+  /// Y += A X
+  void spmv_add(BlockCRef x, BlockRef y) const;
 
-  /// y = A^T x (no explicit transpose formed).
-  void spmv_transpose(std::span<const real> x, std::span<real> y) const;
-
-  /// r = b - A x, fused (same bits as spmv followed by r = b - y).
-  void residual(std::span<const real> b, std::span<const real> x,
-                std::span<real> r) const;
-
-  /// Y = A X, column-blocked: one pass over the block structure feeds one
-  /// accumulator per column, each in spmv's order (column j bitwise equals
-  /// spmv on X.col(j)). spmv is its k=1 instance.
-  void spmm(BlockCRef x, BlockRef y) const;
-
-  /// R = B - A X, fused column-blocked residual.
-  void residual_mv(BlockCRef b, BlockCRef x, BlockRef r) const;
+  /// R = B - A X, fused (same bits as spmv followed by r = b - y).
+  void residual(BlockCRef b, BlockCRef x, BlockRef r) const;
 
   /// Y = A X restricted to the listed block rows; other entries of Y are
   /// not touched. Each block row accumulates exactly as in spmv, so
   /// splitting the block-row space across calls reproduces spmv's bits.
-  void spmm_brows(BlockCRef x, BlockRef y, std::span<const idx> brows) const;
+  void spmv_brows(BlockCRef x, BlockRef y, std::span<const idx> brows) const;
 
   /// R = B - A X restricted to the listed block rows.
-  void residual_mv_brows(BlockCRef b, BlockCRef x, BlockRef r,
-                         std::span<const idx> brows) const;
+  void residual_brows(BlockCRef b, BlockCRef x, BlockRef r,
+                      std::span<const idx> brows) const;
 
   /// Convenience: returns A x as a new vector.
   std::vector<real> apply(std::span<const real> x) const;
@@ -174,15 +165,10 @@ class BsrOperator final : public LinearOperator {
 
   idx rows() const override { return map_.nfree; }
   idx cols() const override { return map_.nfree; }
-  void apply(std::span<const real> x, std::span<real> y) const override;
-  void apply_mv(const MultiVec& x, MultiVec& y) const override;
+  void apply(BlockCRef x, BlockRef y) const override;
 
-  /// r = b - A x on free vectors (fused kernel, same bits as apply + sub).
-  void residual(std::span<const real> b, std::span<const real> x,
-                std::span<real> r) const;
-
-  /// Column-blocked fused residual on free multi-vectors.
-  void residual_mv(const MultiVec& b, const MultiVec& x, MultiVec& r) const;
+  /// R = B - A X on free vectors (fused kernel, same bits as apply + sub).
+  void residual(BlockCRef b, BlockCRef x, BlockRef r) const;
 
   const Bsr3& matrix() const { return a_; }
   const NodeBlockMap& map() const { return map_; }

@@ -51,8 +51,8 @@ void rows_fixed(const Csr& a, const real* const* xp, int j0,
   }
 }
 
-/// The one CSR row kernel behind every product and residual, single- and
-/// multi-vector: `xp` holds the k input columns and `emit(i, j, sum)`
+/// The one CSR row kernel behind every product and residual, at every
+/// column count: `xp` holds the k input columns and `emit(i, j, sum)`
 /// stores row i's result for column j. Each chunk of rows runs the
 /// fixed-width instances for_width_chunks picks. An empty `rows` means
 /// "all rows in order"; a non-empty list restricts the kernel to those
@@ -79,124 +79,108 @@ void rows_core(const Csr& a, std::span<const real* const> xp,
   });
 }
 
-void check_shapes(const Csr& a, std::span<const real> x,
-                  std::span<const real> y) {
-  PROM_CHECK(static_cast<idx>(x.size()) == a.ncols &&
-             static_cast<idx>(y.size()) == a.nrows);
-}
-
-void check_mv_shapes(const Csr& a, BlockCRef x, BlockCRef y) {
+void check_shapes(const Csr& a, BlockCRef x, BlockCRef y) {
   PROM_CHECK(x.rows() == a.ncols && y.rows() == a.nrows &&
              x.cols() == y.cols() && x.cols() >= 1);
 }
 
+/// Y = A X on the listed rows (all when empty).
+void product(const Csr& a, BlockCRef x, BlockRef y,
+             std::span<const idx> rows) {
+  const auto xp = col_ptrs(x);
+  const auto yp = col_ptrs(y);
+  rows_core(a, {xp.data(), static_cast<std::size_t>(x.cols())}, rows,
+            [&](idx i, int j, real sum) { yp[j][i] = sum; });
+}
+
+/// R = B - A X on the listed rows (all when empty).
+void fused_residual(const Csr& a, BlockCRef b, BlockCRef x, BlockRef r,
+                    std::span<const idx> rows) {
+  PROM_CHECK(b.rows() == a.nrows && b.cols() == x.cols());
+  const auto xp = col_ptrs(x);
+  const auto bp = col_ptrs(b);
+  const auto rp = col_ptrs(r);
+  rows_core(a, {xp.data(), static_cast<std::size_t>(x.cols())}, rows,
+            [&](idx i, int j, real sum) { rp[j][i] = bp[j][i] - sum; });
+  const idx n = rows.empty() ? a.nrows : static_cast<idx>(rows.size());
+  count_flops(static_cast<std::int64_t>(n) * x.cols());
+}
+
 }  // namespace
 
-void Csr::spmv(std::span<const real> x, std::span<real> y) const {
+void Csr::spmv(BlockCRef x, BlockRef y) const {
   check_shapes(*this, x, y);
-  const real* xp = x.data();
-  rows_core(*this, {&xp, 1}, {}, [&](idx i, int, real sum) { y[i] = sum; });
+  product(*this, x, y, {});
 }
 
-void Csr::spmv_add(std::span<const real> x, std::span<real> y) const {
+void Csr::spmv_add(BlockCRef x, BlockRef y) const {
   check_shapes(*this, x, y);
-  const real* xp = x.data();
-  rows_core(*this, {&xp, 1}, {}, [&](idx i, int, real sum) { y[i] += sum; });
+  const auto xp = col_ptrs(x);
+  const auto yp = col_ptrs(y);
+  rows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, {},
+            [&](idx i, int j, real sum) { yp[j][i] += sum; });
 }
 
-void Csr::spmv_transpose(std::span<const real> x, std::span<real> y) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == nrows &&
-             static_cast<idx>(y.size()) == ncols);
+void Csr::spmv_transpose(BlockCRef x, BlockRef y) const {
+  PROM_CHECK(x.rows() == nrows && y.rows() == ncols && x.cols() == y.cols());
   const idx grain = transpose_grain(nrows);
   const idx nchunks = common::chunk_count(0, nrows, grain);
-  if (nchunks <= 1) {
-    std::fill(y.begin(), y.end(), real{0});
-    for (idx i = 0; i < nrows; ++i) {
-      const real xi = x[i];
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        y[colidx[k]] += vals[k] * xi;
-      }
-    }
-    count_flops(2 * nnz());
-    return;
-  }
-  // Scatter into per-chunk accumulators (disjoint by construction), then
-  // merge them column-parallel in fixed chunk order — the merge order is a
-  // function of the decomposition, so any thread count produces the same
-  // bits.
-  std::vector<real> partial(static_cast<std::size_t>(nchunks) * ncols,
-                            real{0});
-  common::parallel_for(0, nrows, grain, [&](idx rb, idx re) {
-    real* acc = partial.data() + static_cast<std::size_t>(rb / grain) * ncols;
+  const auto scatter = [&](const real* xj, idx rb, idx re, real* acc) {
     for (idx i = rb; i < re; ++i) {
-      const real xi = x[i];
+      const real xi = xj[i];
       for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
         acc[colidx[k]] += vals[k] * xi;
       }
     }
-  });
-  common::parallel_for(0, ncols, kMergeGrain, [&](idx jb, idx je) {
-    for (idx j = jb; j < je; ++j) {
-      real sum = 0;
-      for (idx c = 0; c < nchunks; ++c) {
-        sum += partial[static_cast<std::size_t>(c) * ncols + j];
-      }
-      y[j] = sum;
+  };
+  // Above one chunk, each column scatters into per-chunk accumulators
+  // (disjoint by construction) merged column-parallel in fixed chunk
+  // order — the merge order is a function of the decomposition, so any
+  // thread count produces the same bits. One partial buffer serves every
+  // column of the call.
+  std::vector<real> partial(
+      nchunks > 1 ? static_cast<std::size_t>(nchunks) * ncols : 0);
+  for (int jc = 0; jc < x.cols(); ++jc) {
+    const real* xj = x.col_data(jc);
+    real* yj = y.col_data(jc);
+    if (nchunks <= 1) {
+      std::fill(yj, yj + ncols, real{0});
+      scatter(xj, 0, nrows, yj);
+      continue;
     }
-  });
-  count_flops(2 * nnz());
+    std::fill(partial.begin(), partial.end(), real{0});
+    common::parallel_for(0, nrows, grain, [&](idx rb, idx re) {
+      scatter(xj, rb, re,
+              partial.data() + static_cast<std::size_t>(rb / grain) * ncols);
+    });
+    common::parallel_for(0, ncols, kMergeGrain, [&](idx jb, idx je) {
+      for (idx j = jb; j < je; ++j) {
+        real sum = 0;
+        for (idx c = 0; c < nchunks; ++c) {
+          sum += partial[static_cast<std::size_t>(c) * ncols + j];
+        }
+        yj[j] = sum;
+      }
+    });
+  }
+  count_flops(2 * nnz() * x.cols());
 }
 
-void Csr::residual(std::span<const real> b, std::span<const real> x,
-                   std::span<real> r) const {
+void Csr::residual(BlockCRef b, BlockCRef x, BlockRef r) const {
   check_shapes(*this, x, r);
-  PROM_CHECK(static_cast<idx>(b.size()) == nrows);
-  const real* xp = x.data();
-  rows_core(*this, {&xp, 1}, {},
-            [&](idx i, int, real sum) { r[i] = b[i] - sum; });
-  count_flops(nrows);
+  fused_residual(*this, b, x, r, {});
 }
 
-void Csr::spmm(BlockCRef x, BlockRef y) const {
-  check_mv_shapes(*this, x, y);
-  const auto xp = col_ptrs(x);
-  const auto yp = col_ptrs(y);
-  rows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, {},
-            [&](idx i, int j, real sum) { yp[j][i] = sum; });
-}
-
-void Csr::residual_mv(BlockCRef b, BlockCRef x, BlockRef r) const {
-  check_mv_shapes(*this, x, r);
-  PROM_CHECK(b.rows() == nrows && b.cols() == x.cols());
-  const auto xp = col_ptrs(x);
-  const auto bp = col_ptrs(b);
-  const auto rp = col_ptrs(r);
-  rows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, {},
-            [&](idx i, int j, real sum) { rp[j][i] = bp[j][i] - sum; });
-  count_flops(static_cast<std::int64_t>(nrows) * x.cols());
-}
-
-void Csr::spmm_rows(BlockCRef x, BlockRef y,
+void Csr::spmv_rows(BlockCRef x, BlockRef y,
                     std::span<const idx> rows) const {
-  check_mv_shapes(*this, x, y);
-  if (rows.empty()) return;
-  const auto xp = col_ptrs(x);
-  const auto yp = col_ptrs(y);
-  rows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, rows,
-            [&](idx i, int j, real sum) { yp[j][i] = sum; });
+  check_shapes(*this, x, y);
+  if (!rows.empty()) product(*this, x, y, rows);
 }
 
-void Csr::residual_mv_rows(BlockCRef b, BlockCRef x, BlockRef r,
-                           std::span<const idx> rows) const {
-  check_mv_shapes(*this, x, r);
-  PROM_CHECK(b.rows() == nrows && b.cols() == x.cols());
-  if (rows.empty()) return;
-  const auto xp = col_ptrs(x);
-  const auto bp = col_ptrs(b);
-  const auto rp = col_ptrs(r);
-  rows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, rows,
-            [&](idx i, int j, real sum) { rp[j][i] = bp[j][i] - sum; });
-  count_flops(static_cast<std::int64_t>(rows.size()) * x.cols());
+void Csr::residual_rows(BlockCRef b, BlockCRef x, BlockRef r,
+                        std::span<const idx> rows) const {
+  check_shapes(*this, x, r);
+  if (!rows.empty()) fused_residual(*this, b, x, r, rows);
 }
 
 std::vector<real> Csr::apply(std::span<const real> x) const {

@@ -28,38 +28,31 @@ struct Csr {
 
   nnz_t nnz() const { return rowptr.empty() ? 0 : rowptr.back(); }
 
-  /// y = A x
-  void spmv(std::span<const real> x, std::span<real> y) const;
+  /// Y = A X over k columns (a single vector is the k=1 block). One pass
+  /// over the matrix serves every column; each column accumulates its
+  /// row's terms in sorted-column order, so column j is bitwise identical
+  /// to the k=1 product of that column.
+  void spmv(BlockCRef x, BlockRef y) const;
 
-  /// y += A x
-  void spmv_add(std::span<const real> x, std::span<real> y) const;
+  /// Y += A X
+  void spmv_add(BlockCRef x, BlockRef y) const;
 
-  /// y = A^T x (no explicit transpose formed)
-  void spmv_transpose(std::span<const real> x, std::span<real> y) const;
+  /// Y = A^T X (no explicit transpose formed), column by column in one
+  /// call with one scratch buffer.
+  void spmv_transpose(BlockCRef x, BlockRef y) const;
 
-  /// r = b - A x, fused. Exactly the bits of spmv followed by
+  /// R = B - A X, fused. Exactly the bits of spmv followed by
   /// r[i] = b[i] - y[i] (see la/backend.h on why the fusion is lossless).
-  void residual(std::span<const real> b, std::span<const real> x,
-                std::span<real> r) const;
-
-  /// Y = A X, column-blocked. One pass over the matrix serves every
-  /// column; each column accumulates in exactly spmv's order, so column j
-  /// of the result is bitwise identical to spmv on X.col(j).
-  void spmm(BlockCRef x, BlockRef y) const;
-
-  /// R = B - A X, fused column-blocked residual (bitwise = per-column
-  /// `residual`).
-  void residual_mv(BlockCRef b, BlockCRef x, BlockRef r) const;
+  void residual(BlockCRef b, BlockCRef x, BlockRef r) const;
 
   /// Y[i] = (A X)[i] for the listed rows only; other entries of Y are not
   /// touched. Each row accumulates exactly as in spmv, so splitting the
-  /// row space across calls reproduces spmv's bits. A single vector is
-  /// the k=1 block.
-  void spmm_rows(BlockCRef x, BlockRef y, std::span<const idx> rows) const;
+  /// row space across calls reproduces spmv's bits.
+  void spmv_rows(BlockCRef x, BlockRef y, std::span<const idx> rows) const;
 
   /// R[i] = B[i] - (A X)[i] for the listed rows only.
-  void residual_mv_rows(BlockCRef b, BlockCRef x, BlockRef r,
-                        std::span<const idx> rows) const;
+  void residual_rows(BlockCRef b, BlockCRef x, BlockRef r,
+                     std::span<const idx> rows) const;
 
   /// Convenience: returns A x as a new vector.
   std::vector<real> apply(std::span<const real> x) const;

@@ -12,22 +12,15 @@ KrylovResult cg(const LinearOperator& a, std::span<const real> b,
                 std::span<real> x, const KrylovOptions& opts) {
   PROM_CHECK(a.cols() == a.rows());
   return pcg_any(SerialBackend{}, a,
-                 static_cast<const LinearOperator*>(nullptr), b, x, opts);
+                 static_cast<const LinearOperator*>(nullptr), b, x, opts)
+      .front();
 }
 
 KrylovResult pcg(const LinearOperator& a, const LinearOperator& m,
                  std::span<const real> b, std::span<real> x,
                  const KrylovOptions& opts) {
   PROM_CHECK(a.cols() == a.rows());
-  return pcg_any(SerialBackend{}, a, &m, b, x, opts);
-}
-
-std::vector<KrylovResult> pcg_multi(const LinearOperator& a,
-                                    const LinearOperator* m, const MultiVec& b,
-                                    MultiVec& x, const KrylovOptions& opts,
-                                    KrylovWorkspace* ws) {
-  PROM_CHECK(a.cols() == a.rows());
-  return pcg_multi_any(SerialBackend{}, a, m, b, x, opts, ws);
+  return pcg_any(SerialBackend{}, a, &m, b, x, opts).front();
 }
 
 KrylovResult gmres(const LinearOperator& a, const LinearOperator* m,

@@ -46,17 +46,6 @@ KrylovResult pcg(const LinearOperator& a, const LinearOperator& m,
 
 struct KrylovWorkspace;  // la/krylov_any.h
 
-/// Blocked PCG over k right-hand sides (columns of `b` / `x`) against one
-/// operator: matrix passes are shared, per-column recurrences are not, so
-/// column j is bitwise identical to a standalone `pcg` of that RHS. `m`
-/// may be null (unpreconditioned); `ws` (optional) makes repeat solves
-/// allocation-free.
-std::vector<KrylovResult> pcg_multi(const LinearOperator& a,
-                                    const LinearOperator* m,
-                                    const MultiVec& b, MultiVec& x,
-                                    const KrylovOptions& opts = {},
-                                    KrylovWorkspace* ws = nullptr);
-
 struct GmresOptions {
   real rtol = 1e-6;
   int max_iters = 500;   ///< total inner iterations across restarts

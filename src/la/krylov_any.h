@@ -36,113 +36,32 @@ struct KrylovWorkspace {
   }
 };
 
-/// PCG for SPD systems over any backend; `m == nullptr` means
+/// PCG for SPD systems over any backend, on k right-hand sides against
+/// one operator (a single vector is the k=1 block); `m == nullptr` means
 /// unpreconditioned. `b` and `x` are the local blocks of the distributed
-/// right-hand side and iterate (the whole vectors on SerialBackend); x
-/// holds the initial guess on entry and the solution on exit. On a
-/// collective backend every rank receives the same KrylovResult. A
-/// caller-owned `ws` makes repeat solves allocation-free.
-template <class B, class Op>
-  requires BackendFor<B, Op>
-KrylovResult pcg_any(const B& be, const Op& a, const Op* m,
-                     std::span<const real> b, std::span<real> x,
-                     const KrylovOptions& opts,
-                     KrylovWorkspace* ws = nullptr) {
-  const idx n = be.local_n(a);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n);
-
-  KrylovResult result;
-  KrylovWorkspace local_ws;
-  KrylovWorkspace& w = ws != nullptr ? *ws : local_ws;
-  w.ensure(n, 1);
-  const std::span<real> r = w.r.col(0);
-  const std::span<real> z = w.z.col(0);
-  const std::span<real> p = w.p.col(0);
-  const std::span<real> ap = w.ap.col(0);
-
-  const real bnorm = be.norm2(b);
-  if (opts.track_history) result.history.push_back(bnorm);
-  // Residual history into the obs series registry (same convention as
-  // `history`: entry 0 is ||b||). Identical values on every rank of a
-  // collective backend; the report keeps one representative copy.
-  obs::series_push("pcg.residual", bnorm);
-  if (bnorm == real{0}) {
-    set_all(x, 0);
-    result.converged = true;
-    return result;
-  }
-
-  // r = b - A x
-  be.apply(a, x, r);
-  waxpby(1, b, -1, r, r);
-
-  real rnorm = be.norm2(r);
-  if (krylov_converged(rnorm, bnorm, opts.rtol)) {
-    result.converged = true;
-    result.final_relres = rnorm / bnorm;
-    return result;
-  }
-
-  if (m != nullptr) {
-    be.apply(*m, r, z);
-  } else {
-    copy(r, z);
-  }
-  copy(z, p);
-  real rz = be.dot(r, z);
-
-  for (int it = 1; it <= opts.max_iters; ++it) {
-    be.apply(a, p, ap);
-    const real pap = be.dot(p, ap);
-    if (!std::isfinite(pap) || pap <= 0) {
-      result.breakdown = true;
-      break;
-    }
-    const real alpha = rz / pap;
-    be.axpy(alpha, p, x);
-    be.axpy(-alpha, ap, r);
-    rnorm = be.norm2(r);
-    if (opts.track_history) result.history.push_back(rnorm);
-    obs::series_push("pcg.residual", rnorm);
-    result.iterations = it;
-    if (krylov_converged(rnorm, bnorm, opts.rtol)) {
-      result.converged = true;
-      break;
-    }
-    if (m != nullptr) {
-      be.apply(*m, r, z);
-    } else {
-      copy(r, z);
-    }
-    const real rz_new = be.dot(r, z);
-    const real beta = rz_new / rz;
-    rz = rz_new;
-    aypx(beta, z, p);
-  }
-  result.final_relres = rnorm / bnorm;
-  return result;
-}
-
-/// Blocked PCG: k right-hand sides against one operator, sharing every
-/// matrix pass (apply_mv) and ghost exchange while keeping all per-column
-/// scalar recurrences separate. Column j runs exactly pcg_any's operation
-/// sequence on its own data — per-column dots/norms reduced individually,
-/// same update order — so it is bitwise identical to a standalone pcg_any
-/// solve of that RHS, at any kernel-thread count, serial or distributed.
+/// right-hand sides and iterates (the whole vectors on SerialBackend); x
+/// holds the initial guesses on entry and the solutions on exit. Every
+/// matrix pass (apply / residual) and ghost exchange is shared by the
+/// columns, while all per-column scalar recurrences stay separate: column
+/// j runs exactly the single-column operation sequence on its own data —
+/// per-column dots/norms reduced individually, same update order — so it
+/// is bitwise identical to the k=1 solve of that right-hand side, at any
+/// kernel-thread count, serial or distributed. On a collective backend
+/// every rank receives the same results. A caller-owned `ws` makes repeat
+/// solves allocation-free.
 ///
 /// Convergence masking: a column that converges (or breaks down) freezes —
-/// its scalar recurrences stop exactly where pcg_any would have stopped.
+/// its scalar recurrences stop exactly where its k=1 solve would stop.
 /// Frozen columns still ride along in the blocked applies (their results
 /// are discarded), so the collective call counts stay identical on every
 /// rank; all masks derive from reduced values, which a collective backend
 /// returns bit-identically everywhere.
 template <class B, class Op>
   requires BackendFor<B, Op>
-std::vector<KrylovResult> pcg_multi_any(const B& be, const Op& a, const Op* m,
-                                        const MultiVec& b, MultiVec& x,
-                                        const KrylovOptions& opts,
-                                        KrylovWorkspace* ws = nullptr) {
+std::vector<KrylovResult> pcg_any(const B& be, const Op& a, const Op* m,
+                                  BlockCRef b, BlockRef x,
+                                  const KrylovOptions& opts,
+                                  KrylovWorkspace* ws = nullptr) {
   const idx n = be.local_n(a);
   const int k = b.cols();
   PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == k && k >= 1 &&
@@ -172,6 +91,9 @@ std::vector<KrylovResult> pcg_multi_any(const B& be, const Op& a, const Op* m,
     active[j] = true;
     bnorm[j] = be.norm2(b.col(j));
     if (opts.track_history) results[j].history.push_back(bnorm[j]);
+    // Residual history into the obs series registry (same convention as
+    // `history`: entry 0 is ||b||). Identical values on every rank of a
+    // collective backend; the report keeps one representative copy.
     obs::series_push("pcg.residual", bnorm[j]);
     if (bnorm[j] == real{0}) {
       set_all(x.col(j), 0);
@@ -182,7 +104,7 @@ std::vector<KrylovResult> pcg_multi_any(const B& be, const Op& a, const Op* m,
   if (!any_active()) return results;
 
   // R = B - A X (columns of dead RHSs computed and ignored).
-  be.residual_mv(a, b, x, r);
+  be.residual(a, b, x, r);
   for (int j = 0; j < k; ++j) {
     if (!active[j]) continue;
     rnorm[j] = be.norm2(r.col(j));
@@ -195,7 +117,7 @@ std::vector<KrylovResult> pcg_multi_any(const B& be, const Op& a, const Op* m,
   if (!any_active()) return results;
 
   if (m != nullptr) {
-    be.apply_mv(*m, r, z);
+    be.apply(*m, r, z);
   } else {
     for (int j = 0; j < k; ++j) copy(r.col(j), z.col(j));
   }
@@ -206,7 +128,7 @@ std::vector<KrylovResult> pcg_multi_any(const B& be, const Op& a, const Op* m,
   }
 
   for (int it = 1; it <= opts.max_iters; ++it) {
-    be.apply_mv(a, p, ap);
+    be.apply(a, p, ap);
     for (int j = 0; j < k; ++j) {
       if (!active[j]) continue;
       const real pap = be.dot(p.col(j), ap.col(j));
@@ -231,7 +153,7 @@ std::vector<KrylovResult> pcg_multi_any(const B& be, const Op& a, const Op* m,
     }
     if (!any_active()) break;
     if (m != nullptr) {
-      be.apply_mv(*m, r, z);
+      be.apply(*m, r, z);
     } else {
       for (int j = 0; j < k; ++j) copy(r.col(j), z.col(j));
     }

@@ -1,14 +1,13 @@
 // Column-blocked multi-vector: k right-hand sides (or iterates) over one
-// operator, stored column-major so each column is a contiguous span usable
-// by every existing single-vector kernel. The blocked SpMM / halo / PCG
-// paths operate on MultiVec under the determinism contract: column j of
-// any blocked operation is bitwise identical to the single-vector kernel
-// run on that column alone.
+// operator, stored column-major so each column is a contiguous span.
 //
-// ColBlock is the non-owning view those paths are written over: a MultiVec
-// converts to it as k columns, and a single contiguous vector (std::span,
-// std::vector) as one column, so one kernel or exchange body serves both
-// shapes and k=1 is simply its narrowest instance.
+// ColBlock is the non-owning view the whole solve phase is written over —
+// the sparse kernels, the halo exchange, the smoothers, the multigrid
+// cycles and PCG: a MultiVec converts to it as k columns, and a single
+// contiguous vector (std::span, std::vector) as one column, so each body
+// serves both shapes and k=1 is simply its narrowest instance. The
+// determinism contract: column j of any blocked operation is bitwise
+// identical to the same operation run on that column alone.
 #pragma once
 
 #include <array>
@@ -107,6 +106,12 @@ class MultiVec {
  public:
   MultiVec() = default;
   MultiVec(idx n, int k) { resize(n, k); }
+  /// A copy of the block's columns.
+  explicit MultiVec(BlockCRef v)
+      : n_(v.rows()),
+        k_(v.cols()),
+        data_(v.data(), v.data() + static_cast<std::size_t>(v.rows()) *
+                                       static_cast<std::size_t>(v.cols())) {}
 
   idx rows() const { return n_; }
   int cols() const { return k_; }

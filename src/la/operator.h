@@ -4,7 +4,7 @@
 // distributed operator.
 #pragma once
 
-#include <span>
+#include <algorithm>
 
 #include "common/config.h"
 #include "la/csr.h"
@@ -18,16 +18,10 @@ class LinearOperator {
   virtual idx rows() const = 0;
   virtual idx cols() const = 0;
 
-  /// y = Op(x). `x` and `y` never alias.
-  virtual void apply(std::span<const real> x, std::span<real> y) const = 0;
-
-  /// Y = Op(X), column-blocked. The default applies the operator one
-  /// column at a time (trivially bitwise-equal to k standalone applies);
-  /// formats with a one-matrix-pass SpMM override it. Overrides must keep
-  /// every column bitwise identical to `apply` on that column alone.
-  virtual void apply_mv(const MultiVec& x, MultiVec& y) const {
-    for (int j = 0; j < x.cols(); ++j) apply(x.col(j), y.col(j));
-  }
+  /// Y = Op(X) over k columns (a single vector is the k=1 block); column
+  /// j of the result must be bitwise identical to applying the operator
+  /// to that column alone. `x` and `y` never alias.
+  virtual void apply(BlockCRef x, BlockRef y) const = 0;
 };
 
 /// Adapts a CSR matrix (not owned) to the LinearOperator interface.
@@ -37,17 +31,12 @@ class CsrOperator final : public LinearOperator {
 
   idx rows() const override { return a_->nrows; }
   idx cols() const override { return a_->ncols; }
-  void apply(std::span<const real> x, std::span<real> y) const override {
-    a_->spmv(x, y);
-  }
-  void apply_mv(const MultiVec& x, MultiVec& y) const override {
-    a_->spmm(x, y);
-  }
+  void apply(BlockCRef x, BlockRef y) const override { a_->spmv(x, y); }
 
-  /// Fused blocked residual (picked up by SerialBackend's requires-hook
-  /// when called with the concrete adapter type).
-  void residual_mv(const MultiVec& b, const MultiVec& x, MultiVec& r) const {
-    a_->residual_mv(b, x, r);
+  /// Fused residual (picked up by SerialBackend's requires-hook when
+  /// called with the concrete adapter type).
+  void residual(BlockCRef b, BlockCRef x, BlockRef r) const {
+    a_->residual(b, x, r);
   }
 
  private:
@@ -60,8 +49,10 @@ class IdentityOperator final : public LinearOperator {
   explicit IdentityOperator(idx n) : n_(n) {}
   idx rows() const override { return n_; }
   idx cols() const override { return n_; }
-  void apply(std::span<const real> x, std::span<real> y) const override {
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i];
+  void apply(BlockCRef x, BlockRef y) const override {
+    for (int j = 0; j < x.cols(); ++j) {
+      std::copy(x.col(j).begin(), x.col(j).end(), y.col_data(j));
+    }
   }
 
  private:

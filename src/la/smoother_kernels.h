@@ -25,215 +25,47 @@ namespace prom::la {
 constexpr idx kSmootherPointGrain = 8192;  // elementwise updates
 constexpr idx kSmootherBlockGrain = 8;     // block-Jacobi blocks
 
-/// One damped point-Jacobi step: x += omega * D^{-1} (b - A x), on the
-/// local block. `inv_diag` holds the inverted diagonal of the local rows.
+/// Checks the shapes every sweep shares: b and x are n x k blocks.
+inline void check_sweep_shapes(idx n, BlockCRef b, BlockCRef x) {
+  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == b.cols());
+}
+
+/// The point-block sweeps' elementwise pass on one column: for every
+/// slot s of block row i, calls f(s, z) with z = (inv_i r_i)[s - BS i],
+/// the row product summed in column order.
+template <int BS, class F>
+void pointblock_rows(std::span<const real> inv_blocks, const real* r, idx n,
+                     const F& f) {
+  common::parallel_for(
+      0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
+        for (idx i = ib; i < ie; ++i) {
+          const real* inv =
+              inv_blocks.data() + static_cast<std::size_t>(i) * BS * BS;
+          const real* ri = r + static_cast<std::size_t>(i) * BS;
+          for (int rr = 0; rr < BS; ++rr) {
+            real sum = 0;
+            for (int c = 0; c < BS; ++c) sum += inv[rr * BS + c] * ri[c];
+            f(static_cast<std::size_t>(i) * BS + rr, sum);
+          }
+        }
+      });
+}
+
+/// One damped point-Jacobi step x += omega * D^{-1} (b - A x) on k
+/// columns of local blocks: one operator pass serves every column, then
+/// each column takes its elementwise update at the fixed grain, so column
+/// j is bitwise identical to the k=1 sweep of that column. `inv_diag`
+/// holds the inverted diagonal of the local rows.
 template <class B, class Op>
   requires BackendFor<B, Op>
 void jacobi_sweep(const B& be, const Op& a, std::span<const real> inv_diag,
-                  real omega, std::span<const real> b, std::span<real> x) {
-  const obs::Span span("smoother.jacobi");
-  const idx n = be.local_n(a);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n);
-  std::vector<real> r(n);
-  be.residual(a, b, x, r);  // r = b - A x
-  common::parallel_for(0, n, kSmootherPointGrain, [&](idx ib, idx ie) {
-    for (idx i = ib; i < ie; ++i) {
-      x[i] += omega * inv_diag[i] * r[i];
-    }
-  });
-  count_flops(4LL * n);
-}
-
-/// One damped block-Jacobi step: x += omega * blkdiag(A)^{-1} (b - A x).
-/// `blocks[k]` lists the local row indices of block k (a partition of the
-/// local rows); `factors[k]` is its dense LDL^T.
-template <class B, class Op>
-  requires BackendFor<B, Op>
-void block_jacobi_sweep(const B& be, const Op& a,
-                        std::span<const std::vector<idx>> blocks,
-                        std::span<const DenseLdlt> factors, real omega,
-                        std::span<const real> b, std::span<real> x) {
-  const obs::Span span("smoother.block_jacobi");
-  const idx n = be.local_n(a);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n);
-  std::vector<real> r(n);
-  be.residual(a, b, x, r);  // r = b - A x
-  // Blocks partition the rows, so block solves write disjoint slices of x
-  // and parallelize without ordering concerns.
-  common::parallel_for(
-      0, static_cast<idx>(blocks.size()), kSmootherBlockGrain,
-      [&](idx kb, idx ke) {
-        std::vector<real> rb, xb;
-        for (idx k = kb; k < ke; ++k) {
-          const auto& block = blocks[k];
-          rb.resize(block.size());
-          xb.resize(block.size());
-          for (std::size_t li = 0; li < block.size(); ++li) {
-            rb[li] = r[block[li]];
-          }
-          factors[k].solve(rb, xb);
-          for (std::size_t li = 0; li < block.size(); ++li) {
-            x[block[li]] += omega * xb[li];
-          }
-        }
-      });
-  count_flops(2LL * n);
-}
-
-/// One Chebyshev smoothing pass of the given degree on the Jacobi-
-/// preconditioned operator D^{-1}A, targeting [lmin, lmax].
-template <class B, class Op>
-  requires BackendFor<B, Op>
-void chebyshev_sweep(const B& be, const Op& a, std::span<const real> inv_diag,
-                     int degree, real lmin, real lmax,
-                     std::span<const real> b, std::span<real> x) {
-  const obs::Span span("smoother.chebyshev");
-  const idx n = be.local_n(a);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n);
-  const real theta = (lmax + lmin) / 2;
-  const real delta = (lmax - lmin) / 2;
-  const real sigma = theta / delta;
-  real rho = 1 / sigma;
-
-  std::vector<real> r(n), d(n), ad(n);
-  be.residual(a, b, x, r);
-  common::parallel_for(0, n, kSmootherPointGrain, [&](idx ib, idx ie) {
-    for (idx i = ib; i < ie; ++i) d[i] = inv_diag[i] * r[i] / theta;
-  });
-  for (int k = 0; k < degree; ++k) {
-    axpy(1, d, x);
-    if (k + 1 == degree) break;
-    be.apply(a, d, ad);
-    axpy(-1, ad, r);
-    const real rho_new = 1 / (2 * sigma - rho);
-    common::parallel_for(0, n, kSmootherPointGrain, [&](idx ib, idx ie) {
-      for (idx i = ib; i < ie; ++i) {
-        const real zi = inv_diag[i] * r[i];
-        d[i] = rho_new * rho * d[i] + 2 * rho_new / delta * zi;
-      }
-    });
-    rho = rho_new;
-    count_flops(6LL * n);
-  }
-}
-
-/// One damped point-block Jacobi step on a node-block operator:
-/// x += omega * blkdiag(A)^{-1} (b - A x), where blkdiag(A) is the BS x BS
-/// diagonal node block of each block row, inverted directly (the paper's
-/// nodal smoother on BAIJ matrices). `inv_blocks` holds BS*BS reals per
-/// local block row (e.g. Bsr::inverted_block_diagonal()); vectors live on
-/// the block space, so local_n(a) must be a multiple of BS.
-template <int BS, class B, class Op>
-  requires BackendFor<B, Op>
-void pointblock_jacobi_sweep(const B& be, const Op& a,
-                             std::span<const real> inv_blocks, real omega,
-                             std::span<const real> b, std::span<real> x) {
-  const obs::Span span("smoother.pointblock_jacobi");
-  const idx n = be.local_n(a);
-  PROM_CHECK(n % BS == 0);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n &&
-             static_cast<idx>(inv_blocks.size()) == n * BS);
-  std::vector<real> r(n);
-  be.residual(a, b, x, r);
-  common::parallel_for(
-      0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-        for (idx i = ib; i < ie; ++i) {
-          const real* inv = inv_blocks.data() +
-                            static_cast<std::size_t>(i) * BS * BS;
-          const real* ri = r.data() + static_cast<std::size_t>(i) * BS;
-          real* xi = x.data() + static_cast<std::size_t>(i) * BS;
-          for (int rr = 0; rr < BS; ++rr) {
-            real sum = 0;
-            for (int c = 0; c < BS; ++c) sum += inv[rr * BS + c] * ri[c];
-            xi[rr] += omega * sum;
-          }
-        }
-      });
-  count_flops((2LL * BS + 2) * n);
-}
-
-/// One Chebyshev smoothing pass of the given degree preconditioned by the
-/// inverted diagonal node blocks (blkdiag(A)^{-1} A), targeting
-/// [lmin, lmax] — the point-block analogue of chebyshev_sweep.
-template <int BS, class B, class Op>
-  requires BackendFor<B, Op>
-void pointblock_chebyshev_sweep(const B& be, const Op& a,
-                                std::span<const real> inv_blocks, int degree,
-                                real lmin, real lmax, std::span<const real> b,
-                                std::span<real> x) {
-  const obs::Span span("smoother.pointblock_chebyshev");
-  const idx n = be.local_n(a);
-  PROM_CHECK(n % BS == 0);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n &&
-             static_cast<idx>(inv_blocks.size()) == n * BS);
-  const real theta = (lmax + lmin) / 2;
-  const real delta = (lmax - lmin) / 2;
-  const real sigma = theta / delta;
-  real rho = 1 / sigma;
-
-  std::vector<real> r(n), d(n), ad(n);
-  be.residual(a, b, x, r);
-  common::parallel_for(
-      0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-        for (idx i = ib; i < ie; ++i) {
-          const real* inv = inv_blocks.data() +
-                            static_cast<std::size_t>(i) * BS * BS;
-          const real* ri = r.data() + static_cast<std::size_t>(i) * BS;
-          real* di = d.data() + static_cast<std::size_t>(i) * BS;
-          for (int rr = 0; rr < BS; ++rr) {
-            real sum = 0;
-            for (int c = 0; c < BS; ++c) sum += inv[rr * BS + c] * ri[c];
-            di[rr] = sum / theta;
-          }
-        }
-      });
-  for (int k = 0; k < degree; ++k) {
-    axpy(1, d, x);
-    if (k + 1 == degree) break;
-    be.apply(a, d, ad);
-    axpy(-1, ad, r);
-    const real rho_new = 1 / (2 * sigma - rho);
-    common::parallel_for(
-        0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-          for (idx i = ib; i < ie; ++i) {
-            const real* inv = inv_blocks.data() +
-                              static_cast<std::size_t>(i) * BS * BS;
-            const real* ri = r.data() + static_cast<std::size_t>(i) * BS;
-            real* di = d.data() + static_cast<std::size_t>(i) * BS;
-            for (int rr = 0; rr < BS; ++rr) {
-              real zi = 0;
-              for (int c = 0; c < BS; ++c) zi += inv[rr * BS + c] * ri[c];
-              di[rr] = rho_new * rho * di[rr] + 2 * rho_new / delta * zi;
-            }
-          }
-        });
-    rho = rho_new;
-    count_flops((2LL * BS + 6) * n);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Column-blocked sweeps. Each shares the operator pass (residual_mv /
-// apply_mv) across the k columns and then runs the scalar elementwise
-// update per column with the same fixed grains, so column j of a blocked
-// sweep is bitwise identical to the single-vector sweep on that column.
-
-/// Column-blocked jacobi_sweep.
-template <class B, class Op>
-  requires BackendFor<B, Op>
-void jacobi_sweep_mv(const B& be, const Op& a, std::span<const real> inv_diag,
-                     real omega, const MultiVec& b, MultiVec& x) {
+                  real omega, BlockCRef b, BlockRef x) {
   const obs::Span span("smoother.jacobi");
   const idx n = be.local_n(a);
   const int ncol = b.cols();
-  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == ncol);
+  check_sweep_shapes(n, b, x);
   MultiVec r(n, ncol);
-  be.residual_mv(a, b, x, r);
+  be.residual(a, b, x, r);  // R = B - A X
   for (int j = 0; j < ncol; ++j) {
     const real* rj = r.col_data(j);
     real* xj = x.col_data(j);
@@ -246,19 +78,24 @@ void jacobi_sweep_mv(const B& be, const Op& a, std::span<const real> inv_diag,
   count_flops(4LL * n * ncol);
 }
 
-/// Column-blocked block_jacobi_sweep.
+/// One damped block-Jacobi step X += omega * blkdiag(A)^{-1} (B - A X).
+/// `blocks[k]` lists the local row indices of block k (a partition of the
+/// local rows); `factors[k]` is its dense LDL^T, which solves all columns
+/// of a block in one call (each bitwise equal to its k=1 solve).
 template <class B, class Op>
   requires BackendFor<B, Op>
-void block_jacobi_sweep_mv(const B& be, const Op& a,
-                           std::span<const std::vector<idx>> blocks,
-                           std::span<const DenseLdlt> factors, real omega,
-                           const MultiVec& b, MultiVec& x) {
+void block_jacobi_sweep(const B& be, const Op& a,
+                        std::span<const std::vector<idx>> blocks,
+                        std::span<const DenseLdlt> factors, real omega,
+                        BlockCRef b, BlockRef x) {
   const obs::Span span("smoother.block_jacobi");
   const idx n = be.local_n(a);
   const int ncol = b.cols();
-  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == ncol);
+  check_sweep_shapes(n, b, x);
   MultiVec r(n, ncol);
-  be.residual_mv(a, b, x, r);
+  be.residual(a, b, x, r);
+  // Blocks partition the rows, so block solves write disjoint slices of x
+  // and parallelize without ordering concerns.
   common::parallel_for(
       0, static_cast<idx>(blocks.size()), kSmootherBlockGrain,
       [&](idx kb, idx ke) {
@@ -287,25 +124,26 @@ void block_jacobi_sweep_mv(const B& be, const Op& a,
   count_flops(2LL * n * ncol);
 }
 
-/// Column-blocked chebyshev_sweep. The recurrence scalars (theta, rho, …)
-/// depend only on the preset eigenvalue bounds, so sharing them across
-/// columns changes nothing.
+/// One Chebyshev smoothing pass of the given degree on the Jacobi-
+/// preconditioned operator D^{-1}A, targeting [lmin, lmax]. The
+/// recurrence scalars (theta, rho, …) depend only on the preset
+/// eigenvalue bounds, so every column shares them.
 template <class B, class Op>
   requires BackendFor<B, Op>
-void chebyshev_sweep_mv(const B& be, const Op& a,
-                        std::span<const real> inv_diag, int degree, real lmin,
-                        real lmax, const MultiVec& b, MultiVec& x) {
+void chebyshev_sweep(const B& be, const Op& a, std::span<const real> inv_diag,
+                     int degree, real lmin, real lmax, BlockCRef b,
+                     BlockRef x) {
   const obs::Span span("smoother.chebyshev");
   const idx n = be.local_n(a);
   const int ncol = b.cols();
-  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == ncol);
+  check_sweep_shapes(n, b, x);
   const real theta = (lmax + lmin) / 2;
   const real delta = (lmax - lmin) / 2;
   const real sigma = theta / delta;
   real rho = 1 / sigma;
 
   MultiVec r(n, ncol), d(n, ncol), ad(n, ncol);
-  be.residual_mv(a, b, x, r);
+  be.residual(a, b, x, r);
   for (int j = 0; j < ncol; ++j) {
     const real* rj = r.col_data(j);
     real* dj = d.col_data(j);
@@ -316,7 +154,7 @@ void chebyshev_sweep_mv(const B& be, const Op& a,
   for (int k = 0; k < degree; ++k) {
     for (int j = 0; j < ncol; ++j) axpy(1, d.col(j), x.col(j));
     if (k + 1 == degree) break;
-    be.apply_mv(a, d, ad);
+    be.apply(a, d, ad);
     for (int j = 0; j < ncol; ++j) axpy(-1, ad.col(j), r.col(j));
     const real rho_new = 1 / (2 * sigma - rho);
     for (int j = 0; j < ncol; ++j) {
@@ -334,102 +172,71 @@ void chebyshev_sweep_mv(const B& be, const Op& a,
   }
 }
 
-/// Column-blocked pointblock_jacobi_sweep.
+/// One damped point-block Jacobi step on a node-block operator:
+/// X += omega * blkdiag(A)^{-1} (B - A X), where blkdiag(A) is the BS x BS
+/// diagonal node block of each block row, inverted directly (the paper's
+/// nodal smoother on BAIJ matrices). `inv_blocks` holds BS*BS reals per
+/// local block row (e.g. Bsr::inverted_block_diagonal()); vectors live on
+/// the block space, so local_n(a) must be a multiple of BS.
 template <int BS, class B, class Op>
   requires BackendFor<B, Op>
-void pointblock_jacobi_sweep_mv(const B& be, const Op& a,
-                                std::span<const real> inv_blocks, real omega,
-                                const MultiVec& b, MultiVec& x) {
+void pointblock_jacobi_sweep(const B& be, const Op& a,
+                             std::span<const real> inv_blocks, real omega,
+                             BlockCRef b, BlockRef x) {
   const obs::Span span("smoother.pointblock_jacobi");
   const idx n = be.local_n(a);
   const int ncol = b.cols();
-  PROM_CHECK(n % BS == 0);
-  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == ncol &&
-             static_cast<idx>(inv_blocks.size()) == n * BS);
+  PROM_CHECK(n % BS == 0 && static_cast<idx>(inv_blocks.size()) == n * BS);
+  check_sweep_shapes(n, b, x);
   MultiVec r(n, ncol);
-  be.residual_mv(a, b, x, r);
+  be.residual(a, b, x, r);
   for (int j = 0; j < ncol; ++j) {
-    const real* rcol = r.col_data(j);
-    real* xcol = x.col_data(j);
-    common::parallel_for(
-        0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-          for (idx i = ib; i < ie; ++i) {
-            const real* inv =
-                inv_blocks.data() + static_cast<std::size_t>(i) * BS * BS;
-            const real* ri = rcol + static_cast<std::size_t>(i) * BS;
-            real* xi = xcol + static_cast<std::size_t>(i) * BS;
-            for (int rr = 0; rr < BS; ++rr) {
-              real sum = 0;
-              for (int c = 0; c < BS; ++c) sum += inv[rr * BS + c] * ri[c];
-              xi[rr] += omega * sum;
-            }
-          }
-        });
+    real* xj = x.col_data(j);
+    pointblock_rows<BS>(inv_blocks, r.col_data(j), n,
+                        [&](std::size_t i, real z) { xj[i] += omega * z; });
   }
   count_flops((2LL * BS + 2) * n * ncol);
 }
 
-/// Column-blocked pointblock_chebyshev_sweep.
+/// One Chebyshev smoothing pass of the given degree preconditioned by the
+/// inverted diagonal node blocks (blkdiag(A)^{-1} A), targeting
+/// [lmin, lmax] — the point-block analogue of chebyshev_sweep.
 template <int BS, class B, class Op>
   requires BackendFor<B, Op>
-void pointblock_chebyshev_sweep_mv(const B& be, const Op& a,
-                                   std::span<const real> inv_blocks,
-                                   int degree, real lmin, real lmax,
-                                   const MultiVec& b, MultiVec& x) {
+void pointblock_chebyshev_sweep(const B& be, const Op& a,
+                                std::span<const real> inv_blocks, int degree,
+                                real lmin, real lmax, BlockCRef b,
+                                BlockRef x) {
   const obs::Span span("smoother.pointblock_chebyshev");
   const idx n = be.local_n(a);
   const int ncol = b.cols();
-  PROM_CHECK(n % BS == 0);
-  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == ncol &&
-             static_cast<idx>(inv_blocks.size()) == n * BS);
+  PROM_CHECK(n % BS == 0 && static_cast<idx>(inv_blocks.size()) == n * BS);
+  check_sweep_shapes(n, b, x);
   const real theta = (lmax + lmin) / 2;
   const real delta = (lmax - lmin) / 2;
   const real sigma = theta / delta;
   real rho = 1 / sigma;
 
   MultiVec r(n, ncol), d(n, ncol), ad(n, ncol);
-  be.residual_mv(a, b, x, r);
+  be.residual(a, b, x, r);
   for (int j = 0; j < ncol; ++j) {
-    const real* rcol = r.col_data(j);
-    real* dcol = d.col_data(j);
-    common::parallel_for(
-        0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-          for (idx i = ib; i < ie; ++i) {
-            const real* inv =
-                inv_blocks.data() + static_cast<std::size_t>(i) * BS * BS;
-            const real* ri = rcol + static_cast<std::size_t>(i) * BS;
-            real* di = dcol + static_cast<std::size_t>(i) * BS;
-            for (int rr = 0; rr < BS; ++rr) {
-              real sum = 0;
-              for (int c = 0; c < BS; ++c) sum += inv[rr * BS + c] * ri[c];
-              di[rr] = sum / theta;
-            }
-          }
-        });
+    real* dj = d.col_data(j);
+    pointblock_rows<BS>(inv_blocks, r.col_data(j), n,
+                        [&](std::size_t i, real z) { dj[i] = z / theta; });
   }
   for (int k = 0; k < degree; ++k) {
     for (int j = 0; j < ncol; ++j) axpy(1, d.col(j), x.col(j));
     if (k + 1 == degree) break;
-    be.apply_mv(a, d, ad);
+    be.apply(a, d, ad);
     for (int j = 0; j < ncol; ++j) axpy(-1, ad.col(j), r.col(j));
     const real rho_new = 1 / (2 * sigma - rho);
     for (int j = 0; j < ncol; ++j) {
-      const real* rcol = r.col_data(j);
-      real* dcol = d.col_data(j);
-      common::parallel_for(
-          0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-            for (idx i = ib; i < ie; ++i) {
-              const real* inv =
-                  inv_blocks.data() + static_cast<std::size_t>(i) * BS * BS;
-              const real* ri = rcol + static_cast<std::size_t>(i) * BS;
-              real* di = dcol + static_cast<std::size_t>(i) * BS;
-              for (int rr = 0; rr < BS; ++rr) {
-                real zi = 0;
-                for (int c = 0; c < BS; ++c) zi += inv[rr * BS + c] * ri[c];
-                di[rr] = rho_new * rho * di[rr] + 2 * rho_new / delta * zi;
-              }
-            }
-          });
+      real* dj = d.col_data(j);
+      pointblock_rows<BS>(inv_blocks, r.col_data(j), n,
+                          [&](std::size_t i, real z) {
+                            dj[i] = rho_new * rho * dj[i] +
+                                    2 * rho_new / delta * z;
+                          });
     }
     rho = rho_new;
     count_flops((2LL * BS + 6) * n * ncol);

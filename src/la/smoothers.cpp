@@ -24,8 +24,7 @@ JacobiSmoother::JacobiSmoother(const Csr& a, real omega)
   PROM_CHECK(a.nrows == a.ncols);
 }
 
-void JacobiSmoother::smooth(std::span<const real> b,
-                            std::span<real> x) const {
+void JacobiSmoother::smooth(BlockCRef b, BlockRef x) const {
   jacobi_sweep(SerialBackend{}, CsrOperator(*a_), inv_diag_, omega_, b, x);
 }
 
@@ -38,22 +37,24 @@ SymmetricGaussSeidel::SymmetricGaussSeidel(const Csr& a)
 // previous ones), so it stays a serial-only baseline with no backend-
 // generic driver; the distributed hierarchy substitutes processor-block
 // Jacobi, exactly as the paper's parallel smoother does.
-void SymmetricGaussSeidel::smooth(std::span<const real> b,
-                                  std::span<real> x) const {
+void SymmetricGaussSeidel::smooth(BlockCRef b, BlockRef x) const {
   const idx n = a_->nrows;
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n);
-  auto sweep_row = [&](idx i) {
-    real sum = b[i];
-    for (nnz_t k = a_->rowptr[i]; k < a_->rowptr[i + 1]; ++k) {
-      const idx j = a_->colidx[k];
-      if (j != i) sum -= a_->vals[k] * x[j];
-    }
-    x[i] = sum * inv_diag_[i];
-  };
-  for (idx i = 0; i < n; ++i) sweep_row(i);
-  for (idx i = n - 1; i >= 0; --i) sweep_row(i);
-  count_flops(4 * a_->nnz() + 4LL * n);
+  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == b.cols());
+  for (int j = 0; j < b.cols(); ++j) {
+    const real* bj = b.col_data(j);
+    real* xj = x.col_data(j);
+    auto sweep_row = [&](idx i) {
+      real sum = bj[i];
+      for (nnz_t k = a_->rowptr[i]; k < a_->rowptr[i + 1]; ++k) {
+        const idx c = a_->colidx[k];
+        if (c != i) sum -= a_->vals[k] * xj[c];
+      }
+      xj[i] = sum * inv_diag_[i];
+    };
+    for (idx i = 0; i < n; ++i) sweep_row(i);
+    for (idx i = n - 1; i >= 0; --i) sweep_row(i);
+  }
+  count_flops((4 * a_->nnz() + 4LL * n) * b.cols());
 }
 
 BlockJacobiSmoother::BlockJacobiSmoother(const Csr& a,
@@ -76,8 +77,7 @@ BlockJacobiSmoother::BlockJacobiSmoother(const Csr& a,
   factors_ = factor_diagonal_blocks(a, blocks_);
 }
 
-void BlockJacobiSmoother::smooth(std::span<const real> b,
-                                 std::span<real> x) const {
+void BlockJacobiSmoother::smooth(BlockCRef b, BlockRef x) const {
   block_jacobi_sweep(SerialBackend{}, CsrOperator(*a_), blocks_, factors_,
                      omega_, b, x);
 }
@@ -133,8 +133,7 @@ ChebyshevSmoother::ChebyshevSmoother(const Csr& a, int degree,
   lmin_ = lmax_ / eig_ratio;
 }
 
-void ChebyshevSmoother::smooth(std::span<const real> b,
-                               std::span<real> x) const {
+void ChebyshevSmoother::smooth(BlockCRef b, BlockRef x) const {
   chebyshev_sweep(SerialBackend{}, CsrOperator(*a_), inv_diag_, degree_,
                   lmin_, lmax_, b, x);
 }

@@ -24,16 +24,11 @@ class Smoother {
  public:
   virtual ~Smoother() = default;
 
-  /// One smoothing step, updating x in place. b is the right-hand side of
-  /// A x = b for the matrix bound at construction.
-  virtual void smooth(std::span<const real> b, std::span<real> x) const = 0;
-
-  /// Column-blocked smoothing step. The default smooths one column at a
-  /// time (trivially bitwise-equal to k standalone sweeps); overrides must
-  /// preserve that per-column equality.
-  virtual void smooth_mv(const MultiVec& b, MultiVec& x) const {
-    for (int j = 0; j < b.cols(); ++j) smooth(b.col(j), x.col(j));
-  }
+  /// One smoothing step on k columns, updating x in place (a single
+  /// vector is the k=1 block). b is the right-hand side of A x = b for
+  /// the matrix bound at construction; column j of the result is bitwise
+  /// identical to the k=1 step on that column.
+  virtual void smooth(BlockCRef b, BlockRef x) const = 0;
 
   virtual idx n() const = 0;
 };
@@ -42,7 +37,7 @@ class Smoother {
 class JacobiSmoother final : public Smoother {
  public:
   JacobiSmoother(const Csr& a, real omega = 0.67);
-  void smooth(std::span<const real> b, std::span<real> x) const override;
+  void smooth(BlockCRef b, BlockRef x) const override;
   idx n() const override { return a_->nrows; }
 
  private:
@@ -55,7 +50,7 @@ class JacobiSmoother final : public Smoother {
 class SymmetricGaussSeidel final : public Smoother {
  public:
   explicit SymmetricGaussSeidel(const Csr& a);
-  void smooth(std::span<const real> b, std::span<real> x) const override;
+  void smooth(BlockCRef b, BlockRef x) const override;
   idx n() const override { return a_->nrows; }
 
  private:
@@ -70,7 +65,7 @@ class BlockJacobiSmoother final : public Smoother {
  public:
   BlockJacobiSmoother(const Csr& a, std::vector<std::vector<idx>> blocks,
                       real omega = 0.6);
-  void smooth(std::span<const real> b, std::span<real> x) const override;
+  void smooth(BlockCRef b, BlockRef x) const override;
   idx n() const override { return a_->nrows; }
 
   idx num_blocks() const { return static_cast<idx>(blocks_.size()); }
@@ -91,7 +86,7 @@ class ChebyshevSmoother final : public Smoother {
  public:
   explicit ChebyshevSmoother(const Csr& a, int degree = 3,
                              real eig_ratio = 30);
-  void smooth(std::span<const real> b, std::span<real> x) const override;
+  void smooth(BlockCRef b, BlockRef x) const override;
   idx n() const override { return a_->nrows; }
 
   real lambda_max() const { return lmax_; }

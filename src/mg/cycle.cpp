@@ -2,18 +2,22 @@
 
 namespace prom::mg {
 
-void HierarchyCycleView::coarse_solve(std::span<const real> b,
-                                      std::span<real> x) const {
+void HierarchyCycleView::coarse_solve(la::BlockCRef b, la::BlockRef x) const {
   const MgLevel& lv = h->level(h->num_levels() - 1);
-  if (lv.sparse_direct != nullptr) {
-    lv.sparse_direct->solve(b, x);
-  } else if (lv.direct != nullptr) {
-    lv.direct->solve(b, x);
-  } else if (lv.direct_lu != nullptr) {
-    lv.direct_lu->solve(b, x);
-  } else {
+  if (lv.sparse_direct == nullptr && lv.direct == nullptr &&
+      lv.direct_lu == nullptr) {
     // Single-level hierarchy: a few smoothing steps stand in.
     for (int s = 0; s < 4; ++s) lv.smoother->smooth(b, x);
+    return;
+  }
+  for (int j = 0; j < b.cols(); ++j) {
+    if (lv.sparse_direct != nullptr) {
+      lv.sparse_direct->solve(b.col(j), x.col(j));
+    } else if (lv.direct != nullptr) {
+      lv.direct->solve(b.col(j), x.col(j));
+    } else {
+      lv.direct_lu->solve(b.col(j), x.col(j));
+    }
   }
 }
 
@@ -23,7 +27,9 @@ void vcycle(const Hierarchy& h, int level, std::span<const real> b,
 }
 
 std::vector<real> fmg_cycle(const Hierarchy& h, std::span<const real> b) {
-  return fmg_any(HierarchyCycleView{&h}, b);
+  std::vector<real> x(b.size());
+  fmg_any(HierarchyCycleView{&h}, b, x);
+  return x;
 }
 
 }  // namespace prom::mg

@@ -30,7 +30,7 @@ struct HierarchyCycleView {
   idx local_n(int l) const { return h->level(l).a.nrows; }
   int pre_smooth() const { return h->options().pre_smooth; }
   int post_smooth() const { return h->options().post_smooth; }
-  void smooth(int l, std::span<const real> b, std::span<real> x) const {
+  void smooth(int l, la::BlockCRef b, la::BlockRef x) const {
     const MgLevel& lv = h->level(l);
     if (lv.smooth_rows.empty()) {
       lv.smoother->smooth(b, x);
@@ -40,11 +40,15 @@ struct HierarchyCycleView {
     // smoother on a scratch copy and keep only the refined-region rows —
     // identical update on those rows to the full sweep, identity
     // elsewhere, for any smoother kind.
-    std::vector<real> tmp(x.begin(), x.end());
+    la::MultiVec tmp(x);
     lv.smoother->smooth(b, tmp);
-    for (idx i : lv.smooth_rows) x[i] = tmp[i];
+    for (int j = 0; j < x.cols(); ++j) {
+      const real* tj = tmp.col_data(j);
+      real* xj = x.col_data(j);
+      for (idx i : lv.smooth_rows) xj[i] = tj[i];
+    }
   }
-  void apply_a(int l, std::span<const real> x, std::span<real> y) const {
+  void apply_a(int l, la::BlockCRef x, la::BlockRef y) const {
     const MgLevel& lv = h->level(l);
     if (use_mf && lv.a_mf != nullptr) {
       lv.a_mf->apply(x, y);
@@ -54,51 +58,13 @@ struct HierarchyCycleView {
       lv.a.spmv(x, y);
     }
   }
-  void restrict_to(int l, std::span<const real> xf, std::span<real> xc) const {
+  void restrict_to(int l, la::BlockCRef xf, la::BlockRef xc) const {
     h->level(l).r.spmv(xf, xc);
   }
-  void prolong(int l, std::span<const real> xc, std::span<real> xf) const {
+  void prolong(int l, la::BlockCRef xc, la::BlockRef xf) const {
     h->level(l).r.spmv_transpose(xc, xf);
   }
-  void coarse_solve(std::span<const real> b, std::span<real> x) const;
-
-  // Column-blocked level operations (MultiCycleView); column j bitwise
-  // equals the scalar operation on that column.
-  void smooth_mv(int l, const la::MultiVec& b, la::MultiVec& x) const {
-    const MgLevel& lv = h->level(l);
-    if (lv.smooth_rows.empty()) {
-      lv.smoother->smooth_mv(b, x);
-      return;
-    }
-    la::MultiVec tmp = x;
-    lv.smoother->smooth_mv(b, tmp);
-    for (int j = 0; j < x.cols(); ++j) {
-      real* xj = x.col_data(j);
-      const real* tj = tmp.col_data(j);
-      for (idx i : lv.smooth_rows) xj[i] = tj[i];
-    }
-  }
-  void apply_a_mv(int l, const la::MultiVec& x, la::MultiVec& y) const {
-    const MgLevel& lv = h->level(l);
-    if (use_mf && lv.a_mf != nullptr) {
-      lv.a_mf->apply_mv(x, y);
-    } else if (use_bsr && lv.a_bsr != nullptr) {
-      lv.a_bsr->apply_mv(x, y);
-    } else {
-      lv.a.spmm(x, y);
-    }
-  }
-  void restrict_to_mv(int l, const la::MultiVec& xf, la::MultiVec& xc) const {
-    h->level(l).r.spmm(xf, xc);
-  }
-  void prolong_mv(int l, const la::MultiVec& xc, la::MultiVec& xf) const {
-    for (int j = 0; j < xc.cols(); ++j) {
-      h->level(l).r.spmv_transpose(xc.col(j), xf.col(j));
-    }
-  }
-  void coarse_solve_mv(const la::MultiVec& b, la::MultiVec& x) const {
-    for (int j = 0; j < b.cols(); ++j) coarse_solve(b.col(j), x.col(j));
-  }
+  void coarse_solve(la::BlockCRef b, la::BlockRef x) const;
 };
 
 /// One V-cycle at `level` for A_level x = b, improving x in place.

@@ -6,14 +6,14 @@
 // coarse solve) know whether they communicate.
 #pragma once
 
-#include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
 #include "common/error.h"
+#include "la/backend.h"
 #include "la/multivec.h"
 #include "la/vec.h"
 #include "obs/trace.h"
@@ -23,13 +23,15 @@ namespace prom::mg {
 enum class CycleKind : std::uint8_t { kV, kFmg };
 
 /// What the cycle templates require of a hierarchy view. All vectors are
-/// the local blocks of level vectors (the whole vectors on the serial
-/// view); `restrict_to(l, xf, xc)` applies level l's restriction R_l to a
-/// level l-1 vector, `prolong(l, xc, xf)` applies R_l^T (overwrite), and
-/// `coarse_solve` solves on the coarsest level.
+/// column blocks of the local blocks of level vectors (the whole vectors
+/// on the serial view; a single vector is one column) and every level
+/// operation serves all columns at once, column j bitwise equal to the
+/// operation on that column alone. `restrict_to(l, xf, xc)` applies level
+/// l's restriction R_l to a level l-1 block, `prolong(l, xc, xf)` applies
+/// R_l^T (overwrite), and `coarse_solve` solves on the coarsest level.
 template <class V>
-concept CycleView = requires(const V& h, int l, std::span<const real> c,
-                             std::span<real> m) {
+concept CycleView = requires(const V& h, int l, la::BlockCRef c,
+                             la::BlockRef m) {
   { h.num_levels() } -> std::convertible_to<int>;
   { h.local_n(l) } -> std::convertible_to<idx>;
   { h.pre_smooth() } -> std::convertible_to<int>;
@@ -41,14 +43,17 @@ concept CycleView = requires(const V& h, int l, std::span<const real> c,
   h.coarse_solve(c, m);
 };
 
-/// One V-cycle at `level` for A_level x = b, improving x in place
-/// (Figure 1 of the paper: pre-smooth, restrict residual, recurse,
+/// One V-cycle at `level` for A_level X = B on k columns, improving X in
+/// place (Figure 1 of the paper: pre-smooth, restrict residual, recurse,
 /// prolongate correction, post-smooth; direct solve on the coarsest grid).
+/// Each level operation carries every column in one exchange, and the
+/// per-column BLAS-1 updates run in the single-column order, so column j
+/// is bitwise identical to the k=1 cycle of that column.
 template <CycleView V>
-void vcycle_any(const V& h, int level, std::span<const real> b,
-                std::span<real> x) {
-  PROM_CHECK(static_cast<idx>(b.size()) == h.local_n(level) &&
-             static_cast<idx>(x.size()) == h.local_n(level));
+void vcycle_any(const V& h, int level, la::BlockCRef b, la::BlockRef x) {
+  const int k = b.cols();
+  const idx n = h.local_n(level);
+  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == k);
 
   // Coarse-level agglomeration (views exposing level_inactive): a rank
   // outside this level's active set holds no rows and no exchange-plan
@@ -73,28 +78,29 @@ void vcycle_any(const V& h, int level, std::span<const real> b,
   }
 
   // Residual and its restriction.
-  std::vector<real> r(b.size());
+  la::MultiVec r(n, k);
   {
     const obs::Span span("mg.residual", level);
     h.apply_a(level, x, r);
-    la::waxpby(1, b, -1, r, r);
+    la::subtract_from(b, r);
   }
-  std::vector<real> rc(static_cast<std::size_t>(h.local_n(level + 1)));
+  const idx nc = h.local_n(level + 1);
+  la::MultiVec rc(nc, k);
   {
     const obs::Span span("mg.restrict", level);
     h.restrict_to(level + 1, r, rc);
   }
 
   // Coarse-grid correction.
-  std::vector<real> xc(rc.size(), 0);
+  la::MultiVec xc(nc, k);
   vcycle_any(h, level + 1, rc, xc);
 
   // Prolongate (R^T) and add.
   {
     const obs::Span span("mg.prolong", level);
-    std::vector<real> dx(x.size());
+    la::MultiVec dx(n, k);
     h.prolong(level + 1, xc, dx);
-    la::axpy(1, dx, x);
+    for (int j = 0; j < k; ++j) la::axpy(1, dx.col(j), x.col(j));
   }
 
   {
@@ -103,172 +109,49 @@ void vcycle_any(const V& h, int level, std::span<const real> b,
   }
 }
 
-/// One full multigrid cycle for A_0 x = b starting from zero; returns x.
+/// One full multigrid cycle for A_0 X = B starting from zero, written to
+/// x (which must not alias b): restrict B to every level, solve the
+/// coarsest, then prolongate and V-cycle upward level by level.
 template <CycleView V>
-std::vector<real> fmg_any(const V& h, std::span<const real> b) {
-  const int nl = h.num_levels();
-  // Restrict the right-hand side to every level.
-  std::vector<std::vector<real>> bs(static_cast<std::size_t>(nl));
-  bs[0].assign(b.begin(), b.end());
-  for (int l = 1; l < nl; ++l) {
-    const obs::Span span("mg.restrict", l - 1);
-    bs[l].resize(static_cast<std::size_t>(h.local_n(l)));
-    h.restrict_to(l, bs[l - 1], bs[l]);
-  }
-
-  // Coarsest solve, then work upward: prolongate and V-cycle at each grid.
-  std::vector<real> x(bs[nl - 1].size(), 0);
-  vcycle_any(h, nl - 1, bs[nl - 1], x);
-  for (int l = nl - 2; l >= 0; --l) {
-    std::vector<real> xf(static_cast<std::size_t>(h.local_n(l)));
-    {
-      const obs::Span span("mg.prolong", l);
-      h.prolong(l + 1, x, xf);
-    }
-    x = std::move(xf);
-    vcycle_any(h, l, bs[l], x);
-  }
-  return x;
-}
-
-/// One cycle of the requested kind as a preconditioner application
-/// y = M^{-1} x (the MG-PCG preconditioner body on every backend).
-template <CycleView V>
-void apply_cycle(const V& h, CycleKind kind, std::span<const real> x,
-                 std::span<real> y) {
-  if (kind == CycleKind::kFmg) {
-    const std::vector<real> z = fmg_any(h, x);
-    std::copy(z.begin(), z.end(), y.begin());
-  } else {
-    std::fill(y.begin(), y.end(), real{0});
-    vcycle_any(h, 0, x, y);
-  }
-}
-
-/// Column-blocked extension of CycleView: the same level operations over
-/// k columns at once, column j bitwise identical to the scalar operation
-/// on that column.
-template <class V>
-concept MultiCycleView =
-    CycleView<V> && requires(const V& h, int l, const la::MultiVec& c,
-                             la::MultiVec& m) {
-      h.smooth_mv(l, c, m);
-      h.apply_a_mv(l, c, m);
-      h.restrict_to_mv(l, c, m);
-      h.prolong_mv(l, c, m);
-      h.coarse_solve_mv(c, m);
-    };
-
-/// Column-blocked V-cycle: the scalar vcycle_any over k columns with one
-/// exchange per level operation; column j bitwise equals `vcycle_any` on
-/// that column (the per-column BLAS-1 updates run in the scalar order).
-template <MultiCycleView V>
-void vcycle_any_mv(const V& h, int level, const la::MultiVec& b,
-                   la::MultiVec& x) {
-  const int k = b.cols();
-  PROM_CHECK(b.rows() == h.local_n(level) && x.rows() == h.local_n(level) &&
-             x.cols() == k);
-
-  // Same agglomeration guard as the scalar vcycle_any.
-  if constexpr (requires {
-                  { h.level_inactive(level) } -> std::convertible_to<bool>;
-                }) {
-    if (h.level_inactive(level)) return;
-  }
-
-  if (level + 1 == h.num_levels()) {
-    const obs::Span span("mg.coarse_solve", level);
-    h.coarse_solve_mv(b, x);
-    return;
-  }
-
-  {
-    const obs::Span span("mg.smooth", level);
-    for (int s = 0; s < h.pre_smooth(); ++s) h.smooth_mv(level, b, x);
-  }
-
-  // Residual and its restriction.
-  la::MultiVec r(h.local_n(level), k);
-  {
-    const obs::Span span("mg.residual", level);
-    h.apply_a_mv(level, x, r);
-    for (int j = 0; j < k; ++j) {
-      la::waxpby(1, b.col(j), -1, r.col(j), r.col(j));
-    }
-  }
-  la::MultiVec rc(h.local_n(level + 1), k);
-  {
-    const obs::Span span("mg.restrict", level);
-    h.restrict_to_mv(level + 1, r, rc);
-  }
-
-  // Coarse-grid correction.
-  la::MultiVec xc(h.local_n(level + 1), k);
-  vcycle_any_mv(h, level + 1, rc, xc);
-
-  // Prolongate (R^T) and add.
-  {
-    const obs::Span span("mg.prolong", level);
-    la::MultiVec dx(h.local_n(level), k);
-    h.prolong_mv(level + 1, xc, dx);
-    for (int j = 0; j < k; ++j) la::axpy(1, dx.col(j), x.col(j));
-  }
-
-  {
-    const obs::Span span("mg.smooth", level);
-    for (int s = 0; s < h.post_smooth(); ++s) h.smooth_mv(level, b, x);
-  }
-}
-
-/// Column-blocked full multigrid cycle; column j bitwise equals `fmg_any`
-/// on that column.
-template <MultiCycleView V>
-la::MultiVec fmg_any_mv(const V& h, const la::MultiVec& b) {
+void fmg_any(const V& h, la::BlockCRef b, la::BlockRef x) {
   const int nl = h.num_levels();
   const int k = b.cols();
-  // Restrict the right-hand side to every level.
+  // The right-hand side on every level; level 0's is b itself.
   std::vector<la::MultiVec> bs(static_cast<std::size_t>(nl));
-  bs[0].resize(b.rows(), k);
-  for (int j = 0; j < k; ++j) {
-    std::copy(b.col(j).begin(), b.col(j).end(), bs[0].col(j).begin());
-  }
+  const auto rhs = [&](int l) { return l == 0 ? b : la::BlockCRef(bs[l]); };
   for (int l = 1; l < nl; ++l) {
     const obs::Span span("mg.restrict", l - 1);
     bs[l].resize(h.local_n(l), k);
-    h.restrict_to_mv(l, bs[l - 1], bs[l]);
+    h.restrict_to(l, rhs(l - 1), bs[l]);
   }
 
-  // Coarsest solve, then work upward: prolongate and V-cycle at each grid.
-  la::MultiVec x(h.local_n(nl - 1), k);
-  vcycle_any_mv(h, nl - 1, bs[nl - 1], x);
+  // Coarsest solve from zero, then work upward; level 0 lands in x.
+  la::MultiVec xl(h.local_n(nl - 1), k);
+  const la::BlockRef coarsest = nl == 1 ? x : la::BlockRef(xl);
+  for (int j = 0; j < k; ++j) la::set_all(coarsest.col(j), 0);
+  vcycle_any(h, nl - 1, rhs(nl - 1), coarsest);
   for (int l = nl - 2; l >= 0; --l) {
-    la::MultiVec xf(h.local_n(l), k);
+    la::MultiVec xf(l == 0 ? 0 : h.local_n(l), k);
+    const la::BlockRef fine = l == 0 ? x : la::BlockRef(xf);
     {
       const obs::Span span("mg.prolong", l);
-      h.prolong_mv(l + 1, x, xf);
+      h.prolong(l + 1, xl, fine);
     }
-    x = std::move(xf);
-    vcycle_any_mv(h, l, bs[l], x);
+    vcycle_any(h, l, rhs(l), fine);
+    if (l > 0) xl = std::move(xf);
   }
-  return x;
 }
 
-/// Column-blocked preconditioner application; column j bitwise equals
-/// `apply_cycle` on that column.
-template <MultiCycleView V>
-void apply_cycle_mv(const V& h, CycleKind kind, const la::MultiVec& x,
-                    la::MultiVec& y) {
-  const int k = x.cols();
+/// One cycle of the requested kind as a preconditioner application
+/// Y = M^{-1} X on k columns (the MG-PCG preconditioner body on every
+/// backend).
+template <CycleView V>
+void apply_cycle(const V& h, CycleKind kind, la::BlockCRef x, la::BlockRef y) {
   if (kind == CycleKind::kFmg) {
-    const la::MultiVec z = fmg_any_mv(h, x);
-    for (int j = 0; j < k; ++j) {
-      std::copy(z.col(j).begin(), z.col(j).end(), y.col(j).begin());
-    }
+    fmg_any(h, x, y);
   } else {
-    for (int j = 0; j < k; ++j) {
-      std::fill(y.col(j).begin(), y.col(j).end(), real{0});
-    }
-    vcycle_any_mv(h, 0, x, y);
+    for (int j = 0; j < y.cols(); ++j) la::set_all(y.col(j), 0);
+    vcycle_any(h, 0, x, y);
   }
 }
 

@@ -22,10 +22,9 @@ class MgPreconditioner final : public la::LinearOperator {
 
   idx rows() const override { return h_->level(0).a.nrows; }
   idx cols() const override { return rows(); }
-  void apply(std::span<const real> x, std::span<real> y) const override;
-  /// One blocked cycle serves all k columns (column j bitwise equals
-  /// `apply` on that column).
-  void apply_mv(const la::MultiVec& x, la::MultiVec& y) const override;
+  /// One cycle serves all k columns (column j bitwise equals the k=1
+  /// application to that column).
+  void apply(la::BlockCRef x, la::BlockRef y) const override;
 
  private:
   const Hierarchy* h_;
@@ -73,7 +72,19 @@ inline la::GmresOptions to_gmres_options(const MgSolveOptions& opts) {
   return gopts;
 }
 
-/// Solves A_0 x = b with MG-preconditioned CG; x holds the initial guess.
+/// Solves A_0 X = B for k right-hand sides with one MG-PCG run (a single
+/// vector is the k=1 block): every operator application and cycle serves
+/// all columns at once, and column j of the result is bitwise identical
+/// to the k=1 solve of that column. X holds the initial guesses. `ws`
+/// (optional) reuses PCG work vectors across solves.
+std::vector<la::KrylovResult> mg_pcg_solve_mv(const Hierarchy& h,
+                                              la::BlockCRef b, la::BlockRef x,
+                                              const MgSolveOptions& opts = {},
+                                              la::KrylovWorkspace* ws =
+                                                  nullptr);
+
+/// Solves A_0 x = b with MG-preconditioned CG; x holds the initial guess
+/// (the one-column mg_pcg_solve_mv).
 la::KrylovResult mg_pcg_solve(const Hierarchy& h, std::span<const real> b,
                               std::span<real> x,
                               const MgSolveOptions& opts = {});
@@ -84,16 +95,5 @@ la::KrylovResult mg_pcg_solve(const Hierarchy& h, std::span<const real> b,
 la::KrylovResult mg_krylov_solve(const Hierarchy& h, std::span<const real> b,
                                  std::span<real> x,
                                  const MgSolveOptions& opts = {});
-
-/// Solves A_0 X = B for k right-hand sides with one blocked MG-PCG run:
-/// every operator application and cycle serves all columns at once, and
-/// column j of the result is bitwise identical to `mg_pcg_solve` on that
-/// column alone. `ws` (optional) reuses PCG work vectors across solves.
-std::vector<la::KrylovResult> mg_pcg_solve_mv(const Hierarchy& h,
-                                              const la::MultiVec& b,
-                                              la::MultiVec& x,
-                                              const MgSolveOptions& opts = {},
-                                              la::KrylovWorkspace* ws =
-                                                  nullptr);
 
 }  // namespace prom::mg

@@ -1,5 +1,6 @@
 // Property tests for the blocked (multi-column) la kernels: every column
-// of a blocked CSR product or residual, and of a blocked dense factor
+// of a blocked CSR product, transpose product or residual, and of a
+// blocked dense factor
 // solve, must be bitwise identical to the single-vector kernel run on that
 // column alone — for every width up to kMaxRhsBlock, every kernel-thread
 // count, rectangular shapes, empty rows and row subsets (those also
@@ -100,36 +101,63 @@ TEST(BlockedCsrProperty, EveryColumnMatchesSingleVectorKernels) {
         const MultiVec b = random_mv(rng, a.nrows, k);
         MultiVec y = sentinel_mv(a.nrows, k), r = sentinel_mv(a.nrows, k);
         MultiVec ys = sentinel_mv(a.nrows, k), rs = sentinel_mv(a.nrows, k);
-        a.spmm(x, y);
-        a.residual_mv(b, x, r);
-        a.spmm_rows(x, ys, rows);
-        a.residual_mv_rows(b, x, rs, rows);
+        a.spmv(x, y);
+        a.residual(b, x, r);
+        a.spmv_rows(x, ys, rows);
+        a.residual_rows(b, x, rs, rows);
         for (int j = 0; j < k; ++j) {
           const std::vector<real> ref = reference_spmv(a, x.col(j));
           std::vector<real> y1(ref.size(), 7.5), r1(ref.size(), 7.5);
           a.spmv(x.col(j), y1);
           a.residual(b.col(j), x.col(j), r1);
           ASSERT_TRUE(same_bits(y1, ref)) << "spmv, column " << j;
-          ASSERT_TRUE(same_bits(y.col(j), y1)) << "spmm, column " << j;
-          ASSERT_TRUE(same_bits(r.col(j), r1)) << "residual_mv, column " << j;
+          ASSERT_TRUE(same_bits(y.col(j), y1)) << "spmv, column " << j;
+          ASSERT_TRUE(same_bits(r.col(j), r1)) << "residual, column " << j;
           // The row-subset kernels against the frozen row loop: listed
           // rows carry its bits (b - ref for the residual), the rest keep
           // the sentinel. The k=1 block of one vector must agree too.
           std::vector<real> ys1(ref.size(), 7.5), rs1(ref.size(), 7.5);
-          a.spmm_rows(x.col(j), ys1, rows);
-          a.residual_mv_rows(b.col(j), x.col(j), rs1, rows);
-          ASSERT_TRUE(same_bits(ys.col(j), ys1)) << "spmm_rows, column " << j;
+          a.spmv_rows(x.col(j), ys1, rows);
+          a.residual_rows(b.col(j), x.col(j), rs1, rows);
+          ASSERT_TRUE(same_bits(ys.col(j), ys1)) << "spmv_rows, column " << j;
           ASSERT_TRUE(same_bits(rs.col(j), rs1))
-              << "residual_mv_rows, column " << j;
+              << "residual_rows, column " << j;
           std::vector<real> ys_ref(ref.size(), 7.5), rs_ref(ref.size(), 7.5);
           for (const idx i : rows) {
             ys_ref[i] = ref[i];
             rs_ref[i] = b.col(j)[i] - ref[i];
           }
-          ASSERT_TRUE(same_bits(ys1, ys_ref)) << "spmm_rows vs frozen loop";
+          ASSERT_TRUE(same_bits(ys1, ys_ref)) << "spmv_rows vs frozen loop";
           ASSERT_TRUE(same_bits(rs1, rs_ref))
-              << "residual_mv_rows vs frozen loop";
+              << "residual_rows vs frozen loop";
         }
+      }
+    }
+  }
+  common::set_kernel_threads(0);
+}
+
+// The transpose product takes a k-column block in one call; each column
+// must carry the bits of the k=1 call on that column, both below and
+// above the 2048-row scatter chunk (where one partial buffer serves every
+// column and the chunk-order merge decides the bits).
+TEST(BlockedCsrProperty, TransposeColumnsMatchSingleColumnCalls) {
+  Rng rng(0x7A5E);
+  constexpr int k = 3;
+  for (const idx nrows : {300, 5000}) {
+    const Csr a = random_csr(rng, nrows, nrows / 2 + 3, 6);
+    const MultiVec x = random_mv(rng, a.nrows, k);
+    for (const int threads : {1, 2, 8}) {
+      common::set_kernel_threads(threads);
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, " << nrows << " rows");
+      MultiVec y = sentinel_mv(a.ncols, k);
+      a.spmv_transpose(x, y);
+      for (int j = 0; j < k; ++j) {
+        std::vector<real> y1(static_cast<std::size_t>(a.ncols), 7.5);
+        a.spmv_transpose(x.col(j), y1);
+        ASSERT_TRUE(same_bits(y.col(j), y1))
+            << "spmv_transpose, column " << j;
       }
     }
   }

@@ -203,18 +203,6 @@ TEST(BsrKernels, TransposeMatchesCsr) {
   expect_bitwise_equal(bt.rowptr, st.rowptr, "transposed rowptr");
   expect_bitwise_equal(bt.colidx, st.colidx, "transposed colidx");
   expect_bitwise_equal(bt.vals, st.vals, "transposed vals");
-
-  // The mat-free transpose product against the explicit transpose.
-  const std::vector<real> x = random_vec(rng, m.rows());
-  std::vector<real> y1(static_cast<std::size_t>(m.cols()));
-  std::vector<real> y2(y1.size());
-  m.spmv_transpose(x, y1);
-  m.transposed().spmv(x, y2);
-  real scale = 0;
-  for (real v : y2) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < y1.size(); ++i) {
-    EXPECT_NEAR(y1[i], y2[i], 1e-13 * scale) << "entry " << i;
-  }
 }
 
 TEST(BsrKernels, BlockDiagonalAndInverse) {
@@ -417,18 +405,15 @@ TEST(BsrDeterminism, KernelsAreThreadCountInvariant) {
   const la::Bsr3 a = random_block_spd(rng, 90, 6);
   const la::Bsr3 r = random_bsr(rng, 30, 90, 8);
   const std::vector<real> x = random_vec(rng, a.cols());
-  const std::vector<real> xt = random_vec(rng, r.rows());
   const std::vector<real> b = random_vec(rng, a.rows());
 
   struct Outputs {
-    std::vector<real> spmv, spmv_t, resid, galerkin;
+    std::vector<real> spmv, resid, galerkin;
   };
   auto run = [&] {
     Outputs o;
     o.spmv.resize(static_cast<std::size_t>(a.rows()));
     a.spmv(x, o.spmv);
-    o.spmv_t.resize(static_cast<std::size_t>(r.cols()));
-    r.spmv_transpose(xt, o.spmv_t);
     o.resid.resize(static_cast<std::size_t>(a.rows()));
     a.residual(b, x, o.resid);
     o.galerkin = la::galerkin_product<3>(r, a).vals;
@@ -439,7 +424,6 @@ TEST(BsrDeterminism, KernelsAreThreadCountInvariant) {
   for (std::size_t t = 1; t < std::size(kThreadCounts); ++t) {
     const Outputs got = with_threads(kThreadCounts[t], run);
     expect_bitwise_equal(got.spmv, ref.spmv, "spmv");
-    expect_bitwise_equal(got.spmv_t, ref.spmv_t, "spmv_transpose");
     expect_bitwise_equal(got.resid, ref.resid, "residual");
     expect_bitwise_equal(got.galerkin, ref.galerkin, "galerkin vals");
   }

@@ -112,8 +112,12 @@ TEST(Pcg, JacobiPreconditionerAcceleratesScaledSystem) {
     }
     idx rows() const override { return static_cast<idx>(d_.size()); }
     idx cols() const override { return rows(); }
-    void apply(std::span<const real> x, std::span<real> y) const override {
-      for (std::size_t i = 0; i < d_.size(); ++i) y[i] = d_[i] * x[i];
+    void apply(BlockCRef x, BlockRef y) const override {
+      for (int j = 0; j < x.cols(); ++j) {
+        for (std::size_t i = 0; i < d_.size(); ++i) {
+          y.col(j)[i] = d_[i] * x.col(j)[i];
+        }
+      }
     }
 
    private:

@@ -68,9 +68,11 @@ class DiagPrecond final : public LinearOperator {
   }
   idx rows() const override { return static_cast<idx>(inv_diag_.size()); }
   idx cols() const override { return rows(); }
-  void apply(std::span<const real> x, std::span<real> y) const override {
-    for (std::size_t i = 0; i < inv_diag_.size(); ++i) {
-      y[i] = inv_diag_[i] * x[i];
+  void apply(BlockCRef x, BlockRef y) const override {
+    for (int j = 0; j < x.cols(); ++j) {
+      for (std::size_t i = 0; i < inv_diag_.size(); ++i) {
+        y.col(j)[i] = inv_diag_[i] * x.col(j)[i];
+      }
     }
   }
 
