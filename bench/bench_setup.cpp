@@ -93,39 +93,27 @@ int main() {
                 static_cast<long long>(row.messages));
   }
   // Per-level cycle-traffic table: the same problem at the sweep's largest
-  // rank count, V-cycled with coarse-level agglomeration off vs on. The
-  // mg.* cycle components of the obs report give messages/bytes per level;
-  // the mg.active_ranks gauge shows where the rank set shrinks. This is
-  // the table that must show the coarse-grid message count collapsing
-  // (the latency bill of the coarse levels) while level 0 is untouched.
+  // rank count, V-cycled kCycles times. The mg.* cycle components of the
+  // obs report give messages/bytes per level — the latency bill each
+  // coarse level pays per cycle.
   const int pmax = sweep.back();
   const std::vector<idx> tr_owner =
       partition::rcb_partition(problem.mesh.coords(), pmax);
   struct LevelRow {
     int level;
-    int active;
     std::int64_t messages;
     std::int64_t bytes;
   };
-  struct TrafficRun {
-    long long min_rows;
-    std::vector<LevelRow> levels;
-  };
-  std::vector<TrafficRun> truns;
+  std::vector<LevelRow> traffic;
   static constexpr const char* kCycleComponents[] = {
       "mg.smooth", "mg.residual", "mg.restrict", "mg.prolong",
       "mg.coarse_solve"};
   constexpr int kCycles = 3;
-  for (const idx min_rows : {idx{0}, idx{1000}}) {
-    mg::MgOptions amo = mo;
-    amo.agglom_min_rows = min_rows;
-    fem::LinearSystem asys = fem::assemble_linear_system(fe);
-    const mg::Hierarchy agrids = mg::Hierarchy::build_grids(
-        problem.mesh, problem.dofmap, std::move(asys.stiffness), amo);
+  {
     const std::int64_t mark = obs::Tracer::now_ns();
     parx::Runtime::run(pmax, [&](parx::Comm& comm) {
       const dla::DistHierarchy dist =
-          dla::DistHierarchy::build(comm, agrids, tr_owner);
+          dla::DistHierarchy::build(comm, grids, tr_owner);
       const idx nloc = dist.level(0).local_n();
       std::vector<real> b(static_cast<std::size_t>(nloc), 1.0);
       std::vector<real> x(static_cast<std::size_t>(nloc), 0.0);
@@ -133,43 +121,31 @@ int main() {
       for (int it = 0; it < kCycles; ++it) dist_vcycle(comm, dist, 0, b, x);
     });
     const obs::Report rep = obs::build_report(mark);
-    TrafficRun run{static_cast<long long>(min_rows), {}};
-    for (int l = 0; l < agrids.num_levels(); ++l) {
-      LevelRow lr{l, pmax, 0, 0};
-      const double active = rep.gauge("mg.active_ranks", l);
-      if (active == active) lr.active = static_cast<int>(active);
+    for (int l = 0; l < grids.num_levels(); ++l) {
+      LevelRow lr{l, 0, 0};
       for (const char* name : kCycleComponents) {
         if (const obs::ComponentEntry* c = rep.component(name, l)) {
           lr.messages += c->messages;
           lr.bytes += c->bytes;
         }
       }
-      run.levels.push_back(lr);
+      traffic.push_back(lr);
     }
-    truns.push_back(std::move(run));
   }
-  std::printf("\nper-level cycle traffic at %d ranks (%d V-cycles), "
-              "agglomeration off vs on (min %lld rows/rank):\n",
-              pmax, kCycles, truns[1].min_rows);
-  std::printf("%-6s | %-21s | %-21s\n", "level", "off: act msgs KB",
-              "on:  act msgs KB");
-  for (std::size_t l = 0; l < truns[0].levels.size(); ++l) {
-    const LevelRow& off = truns[0].levels[l];
-    const LevelRow& on = truns[1].levels[l];
-    std::printf("%-6d | %3d %7lld %9.1f | %3d %7lld %9.1f\n", off.level,
-                off.active, static_cast<long long>(off.messages),
-                static_cast<double>(off.bytes) / 1e3, on.active,
-                static_cast<long long>(on.messages),
-                static_cast<double>(on.bytes) / 1e3);
+  std::printf("\nper-level cycle traffic at %d ranks (%d V-cycles):\n", pmax,
+              kCycles);
+  std::printf("%-6s | %-9s %-9s\n", "level", "messages", "KB");
+  for (const LevelRow& lr : traffic) {
+    std::printf("%-6d | %-9lld %-9.1f\n", lr.level,
+                static_cast<long long>(lr.messages),
+                static_cast<double>(lr.bytes) / 1e3);
   }
 
   tracer.set_enabled(was_tracing);
   std::printf(
       "\nshape claim: the busiest rank's triple-product flops shrink as\n"
       "ranks grow (per-rank setup work scales with local rows); the\n"
-      "communication volume is the price of the row-distributed product;\n"
-      "agglomeration trades a one-time redistribution for coarse levels\n"
-      "that stop paying per-cycle message latency.\n");
+      "communication volume is the price of the row-distributed product.\n");
 
   std::FILE* json = std::fopen("BENCH_setup.json", "w");
   if (json == nullptr) {
@@ -190,25 +166,19 @@ int main() {
                  static_cast<long long>(r.messages),
                  i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(json, "  ],\n  \"cycle_traffic\": [\n");
-  for (std::size_t t = 0; t < truns.size(); ++t) {
-    const TrafficRun& run = truns[t];
+  std::fprintf(json,
+               "  ],\n  \"cycle_traffic\": {\"ranks\": %d, \"vcycles\": %d, "
+               "\"levels\": [\n",
+               pmax, kCycles);
+  for (std::size_t l = 0; l < traffic.size(); ++l) {
+    const LevelRow& lr = traffic[l];
     std::fprintf(json,
-                 "    {\"min_rows_per_rank\": %lld, \"ranks\": %d, "
-                 "\"vcycles\": %d, \"levels\": [\n",
-                 run.min_rows, pmax, kCycles);
-    for (std::size_t l = 0; l < run.levels.size(); ++l) {
-      const LevelRow& lr = run.levels[l];
-      std::fprintf(json,
-                   "      {\"level\": %d, \"active_ranks\": %d, "
-                   "\"messages\": %lld, \"bytes\": %lld}%s\n",
-                   lr.level, lr.active, static_cast<long long>(lr.messages),
-                   static_cast<long long>(lr.bytes),
-                   l + 1 < run.levels.size() ? "," : "");
-    }
-    std::fprintf(json, "    ]}%s\n", t + 1 < truns.size() ? "," : "");
+                 "    {\"level\": %d, \"messages\": %lld, \"bytes\": %lld}%s\n",
+                 lr.level, static_cast<long long>(lr.messages),
+                 static_cast<long long>(lr.bytes),
+                 l + 1 < traffic.size() ? "," : "");
   }
-  std::fprintf(json, "  ]\n}\n");
+  std::fprintf(json, "  ]}\n}\n");
   std::fclose(json);
   std::printf("wrote BENCH_setup.json (timings read from report.json)\n");
   return 0;

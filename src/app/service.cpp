@@ -58,7 +58,6 @@ std::string SolveService::fingerprint(const std::string& mesh_id,
      << "|bj=" << mo.bj_blocks_per_1000 << "|cheb=" << mo.cheby_degree
      << "|pre=" << mo.pre_smooth << "|post=" << mo.post_smooth
      << "|cs=" << static_cast<int>(mo.coarse_solver)
-     << "|agg=" << mo.agglom_min_rows
      << "|mod=" << co.modify_graph << "|rcl=" << co.reclassify_from_level
      << "|ext=" << static_cast<int>(co.exterior_order)
      << "|int=" << static_cast<int>(co.interior_order) << "|seed=" << co.seed

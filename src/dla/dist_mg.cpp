@@ -71,47 +71,6 @@ std::unique_ptr<la::DenseLu> factor_coarse_lu(const la::Csr& a) {
   return direct;
 }
 
-/// The active-subset communicator of an agglomerated level: ranks
-/// [0, active). Pure-local construction (Comm::split), so building it per
-/// coarse solve costs one small allocation and no traffic.
-parx::Comm active_subcomm(parx::Comm& comm, int active) {
-  std::vector<int> members(static_cast<std::size_t>(active));
-  std::iota(members.begin(), members.end(), 0);
-  return comm.split(members);
-}
-
-/// The first `active` ranks' slice of an agglomerated RowDist (trailing
-/// ranks own empty ranges, so truncating the offsets is exact).
-RowDist active_rowdist(const RowDist& dist, int active) {
-  PROM_CHECK(dist.offsets[static_cast<std::size_t>(active)] ==
-             dist.global_size());
-  return RowDist{std::vector<idx>(
-      dist.offsets.begin(), dist.offsets.begin() + active + 1)};
-}
-
-/// Even row split of an agglomerated level over its first `active` ranks,
-/// with every split point snapped *up* to the next node boundary so node
-/// blocks (DistBsr, block size `bs`) never straddle ranks. Trailing ranks
-/// own empty ranges. The node id of new row i is free_dofs[perm[i]] / bs,
-/// exactly the grouping DistBsr::build uses; at bs = 1 every row is its
-/// own node and the split is exactly even.
-RowDist agglom_rowdist(const std::vector<idx>& free_dofs,
-                       const std::vector<idx>& perm, int active, int nranks,
-                       int bs) {
-  const idx n = static_cast<idx>(perm.size());
-  const auto node_of = [&](idx i) { return free_dofs[perm[i]] / bs; };
-  std::vector<idx> off(static_cast<std::size_t>(nranks) + 1, n);
-  off[0] = 0;
-  for (int r = 1; r < active; ++r) {
-    idx cut = std::max<idx>(
-        off[r - 1],
-        static_cast<idx>(static_cast<std::int64_t>(n) * r / active));
-    while (cut > 0 && cut < n && node_of(cut) == node_of(cut - 1)) ++cut;
-    off[static_cast<std::size_t>(r)] = cut;
-  }
-  return RowDist{std::move(off)};
-}
-
 /// The one format dispatch of the solve phase: calls f with level `lv`'s
 /// operator in `format`, wrapped as a DistOperatorRef. The node-block and
 /// matrix-free views exist only on hierarchies built with that format.
@@ -155,13 +114,6 @@ struct DistCycleView {
   idx local_n(int l) const { return h->level(l).local_n(); }
   int pre_smooth() const { return h->pre_smooth; }
   int post_smooth() const { return h->post_smooth; }
-  /// Agglomeration hook for the cycle templates: ranks outside level l's
-  /// active set skip the cycle body at and below l (they hold no rows
-  /// and no plan roles there; their part is the caller's boundary
-  /// restriction/prolongation exchange).
-  bool level_inactive(int l) const {
-    return comm->rank() >= h->active_ranks(l);
-  }
   void smooth(int l, la::BlockCRef b, la::BlockRef x) const {
     h->level(l).smooth(*comm, b, x);
   }
@@ -186,18 +138,8 @@ struct DistCycleView {
     }
     // Redundant coarse solve (§5 — the coarsest problem is constant-size):
     // one allgatherv carries every column, one factor-solve serves them
-    // all in place, and each rank keeps its slice. When the coarsest level
-    // is agglomerated, only its active ranks reach this point (the cycle
-    // skips idle ranks), so the gather runs over the active subset alone.
-    const int active = h->active_ranks(nl - 1);
-    la::MultiVec full;
-    if (active < comm->size()) {
-      parx::Comm sub = active_subcomm(*comm, active);
-      full = dist_gather_all_mv(sub, active_rowdist(lv.a.row_dist(), active),
-                                b);
-    } else {
-      full = dist_gather_all_mv(*comm, lv.a.row_dist(), b);
-    }
+    // all in place, and each rank keeps its slice.
+    la::MultiVec full = dist_gather_all_mv(*comm, lv.a.row_dist(), b);
     const idx n = full.rows();
     const int k = full.cols();
     const std::span<real> all(full.data(), static_cast<std::size_t>(n) * k);
@@ -258,21 +200,6 @@ void DistMgLevel::smooth(parx::Comm& comm, la::BlockCRef b_local,
   }
 }
 
-std::vector<int> agglom_active_ranks(std::span<const idx> level_rows,
-                                     int nranks, idx min_rows_per_rank) {
-  std::vector<int> active(level_rows.size(), nranks);
-  if (min_rows_per_rank <= 0) return active;
-  for (std::size_t l = 1; l < level_rows.size(); ++l) {
-    int a = active[l - 1];
-    while (a > 1 && static_cast<std::int64_t>(level_rows[l]) <
-                        static_cast<std::int64_t>(min_rows_per_rank) * a) {
-      a = (a + 1) / 2;
-    }
-    active[l] = a;
-  }
-  return active;
-}
-
 DistHierarchy DistHierarchy::build(parx::Comm& comm,
                                    const mg::Hierarchy& serial,
                                    std::span<const idx> fine_vertex_owner,
@@ -324,32 +251,9 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
     dists[l] = RowDist::from_sorted_owners(sorted_owner, p);
   }
 
-  // Coarse-level agglomeration (MgOptions::agglom_min_rows): evaluate the
-  // active-rank policy against the natural (vertex-ownership) level sizes,
-  // then give every agglomerated level a final distribution that packs its
-  // rows onto ranks [0, active) in even node-aligned slices. The natural
-  // distributions stay in `dists` — the Galerkin chain runs on them so the
-  // coarse operators (and galerkin_flops) are independent of the policy.
-  std::vector<idx> level_rows(static_cast<std::size_t>(nl));
-  for (int l = 0; l < nl; ++l) level_rows[l] = dists[l].global_size();
-  h.active_ = agglom_active_ranks(level_rows, p, mo.agglom_min_rows);
-  std::vector<RowDist> final_dists = dists;
-  for (int l = 1; l < nl; ++l) {
-    if (h.active_[l] < p) {
-      final_dists[l] = agglom_rowdist(serial.level(l).free_dofs, h.perms_[l],
-                                      h.active_[l], p, bs);
-    }
-  }
-
   // Operators: the fine matrix and the restrictions are sliced from the
   // serial inputs (each rank extracts its rows only); every coarse
-  // operator is the distributed Galerkin product of the previous one —
-  // always on the natural distributions. An agglomerated level then ships
-  // its operator to the active subset (dist_redistribute) and rebuilds its
-  // restriction on the final layouts from the replicated serial R; the
-  // natural operator is kept aside as the next Galerkin input.
-  DistCsr nat_hold;
-  const DistCsr* nat_prev = nullptr;
+  // operator is the distributed Galerkin product of the previous one.
   for (int l = 0; l < nl; ++l) {
     const obs::Span span("setup.level", l);
     DistMgLevel& dl = h.levels_[l];
@@ -357,31 +261,14 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
       dl.a = DistCsr::from_global_permuted(comm, serial.level(0).a, dists[0],
                                            dists[0], h.perms_[0],
                                            h.perms_[0]);
-      nat_prev = &dl.a;
     } else {
-      DistCsr r_nat = DistCsr::from_global_permuted(
-          comm, serial.level(l).r, dists[l], dists[l - 1], h.perms_[l],
-          h.perms_[l - 1]);
+      dl.r = DistCsr::from_global_permuted(comm, serial.level(l).r, dists[l],
+                                           dists[l - 1], h.perms_[l],
+                                           h.perms_[l - 1]);
       const FlopWindow window;
-      DistCsr a_nat = dist_galerkin_product(comm, r_nat, *nat_prev,
-                                            h.perms_[l - 1]);
+      dl.a = dist_galerkin_product(comm, dl.r, h.levels_[l - 1].a,
+                                   h.perms_[l - 1]);
       h.galerkin_flops_ += window.flops();
-      if (h.active_[l] < p) {
-        {
-          const obs::Span rspan("agglom.redistribute", l);
-          dl.a = dist_redistribute(comm, a_nat, final_dists[l],
-                                   final_dists[l]);
-        }
-        dl.r = DistCsr::from_global_permuted(
-            comm, serial.level(l).r, final_dists[l], final_dists[l - 1],
-            h.perms_[l], h.perms_[l - 1]);
-        nat_hold = std::move(a_nat);
-        nat_prev = &nat_hold;
-      } else {
-        dl.a = std::move(a_nat);
-        dl.r = std::move(r_nat);
-        nat_prev = &dl.a;
-      }
     }
     if (format == mg::MatrixFormat::kBsr3) {
       // Node-block view for the solve phase; the setup above stays CSR so
@@ -399,7 +286,6 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
     // (last-write merge keeps one copy); local nnz counters sum-merge
     // across ranks into the global operator nnz.
     obs::gauge_set("mg.rows", static_cast<double>(dists[l].global_size()), l);
-    obs::gauge_set("mg.active_ranks", static_cast<double>(h.active_[l]), l);
     obs::counter_add("mg.nnz",
                      static_cast<double>(dl.a.local_matrix().vals.size()), l);
   }

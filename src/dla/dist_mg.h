@@ -29,17 +29,6 @@
 
 namespace prom::dla {
 
-/// Per-level active-rank counts for coarse-level agglomeration: level 0
-/// always keeps all `nranks`; below it, while a level's global row count
-/// leaves fewer than `min_rows_per_rank` rows per active rank, the count
-/// is halved (rounding up) down to 1 — the degenerate case where a level
-/// lives entirely on rank 0 and the existing coarsest gather is trivial.
-/// The active set of level l is always ranks [0, result[l]), and the
-/// sequence is monotone non-increasing. `min_rows_per_rank <= 0` disables
-/// agglomeration (every level keeps every rank).
-std::vector<int> agglom_active_ranks(std::span<const idx> level_rows,
-                                     int nranks, idx min_rows_per_rank);
-
 struct DistMgLevel {
   DistCsr a;   ///< level operator (square, row/col dist identical)
   DistCsr r;   ///< restriction from the finer level (empty on level 0)
@@ -118,15 +107,6 @@ class DistHierarchy {
   /// perm[l][new_index] = serial free-dof index at level l.
   const std::vector<idx>& permutation(int l) const { return perms_[l]; }
 
-  /// Size of level l's active-rank set (always ranks [0, active_ranks(l))
-  /// of the build communicator). Equals the communicator size on every
-  /// level when agglomeration is off (MgOptions::agglom_min_rows == 0).
-  /// Ranks outside the set own no rows at the level, appear in none of
-  /// its exchange plans, and skip the cycle's subtree below it — their
-  /// only contact is the restriction/prolongation exchange at the level
-  /// boundary.
-  int active_ranks(int l) const { return active_[l]; }
-
   /// Flops this rank spent in the distributed Galerkin triple products
   /// (the matrix-setup scaling quantity: shrinks as ranks grow).
   std::int64_t galerkin_flops() const { return galerkin_flops_; }
@@ -137,7 +117,6 @@ class DistHierarchy {
  private:
   std::vector<DistMgLevel> levels_;
   std::vector<std::vector<idx>> perms_;
-  std::vector<int> active_;  ///< active-rank count per level
   std::int64_t galerkin_flops_ = 0;
 };
 

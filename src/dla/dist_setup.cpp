@@ -257,69 +257,6 @@ DistCsr dist_galerkin_product(parx::Comm& comm, const DistCsr& r,
   return dist_spgemm(comm, r, art, fine_col_serial);
 }
 
-DistCsr dist_redistribute(parx::Comm& comm, const DistCsr& a,
-                          const RowDist& rows, const RowDist& cols) {
-  // Leveled "agglom.redistribute" spans are opened by the caller
-  // (DistHierarchy::build), which knows the level.
-  const int p = comm.size();
-  const RowDist& old_rows = a.row_dist();
-  PROM_CHECK(rows.nranks() == p && old_rows.nranks() == p);
-  PROM_CHECK(rows.global_size() == old_rows.global_size());
-  PROM_CHECK(cols.global_size() == a.col_dist().global_size());
-  const la::Csr mine = local_rows_global_cols(a);
-  const idx my0 = old_rows.begin(comm.rank());
-
-  // Both distributions are contiguous, so each destination receives an
-  // interval of my rows: ship per-row lengths + columns in one idx
-  // stream and the values in a real stream, in ascending row order.
-  std::vector<std::vector<idx>> send_meta(static_cast<std::size_t>(p));
-  std::vector<std::vector<real>> send_vals(static_cast<std::size_t>(p));
-  for (int d = 0; d < p; ++d) {
-    const idx lo = std::max(my0, rows.begin(d)) - my0;
-    const idx hi = std::min(my0 + mine.nrows, rows.end(d)) - my0;
-    for (idx i = lo; i < hi; ++i) {
-      send_meta[d].push_back(
-          static_cast<idx>(mine.rowptr[i + 1] - mine.rowptr[i]));
-    }
-    for (idx i = lo; i < hi; ++i) {
-      for (nnz_t k = mine.rowptr[i]; k < mine.rowptr[i + 1]; ++k) {
-        send_meta[d].push_back(mine.colidx[k]);
-        send_vals[d].push_back(mine.vals[k]);
-      }
-    }
-  }
-  const auto recv_meta = comm.alltoallv(send_meta);
-  const auto recv_vals = comm.alltoallv(send_vals);
-
-  // Reassemble my new rows: sources in rank order are ascending global
-  // row ranges, and each row arrives with its storage order preserved.
-  la::Csr local;
-  local.nrows = rows.local_size(comm.rank());
-  local.ncols = cols.global_size();
-  local.rowptr.assign(static_cast<std::size_t>(local.nrows) + 1, 0);
-  idx row = 0;
-  for (int s = 0; s < p; ++s) {
-    const idx lo = std::max(rows.begin(comm.rank()), old_rows.begin(s));
-    const idx hi = std::min(rows.end(comm.rank()), old_rows.end(s));
-    const idx nrows_s = std::max<idx>(0, hi - lo);
-    const std::vector<idx>& meta = recv_meta[s];
-    PROM_CHECK(static_cast<idx>(meta.size()) >= nrows_s);
-    std::size_t off = static_cast<std::size_t>(nrows_s);
-    for (idx i = 0; i < nrows_s; ++i) {
-      const idx nz = meta[static_cast<std::size_t>(i)];
-      local.rowptr[row + 1] = local.rowptr[row] + nz;
-      for (idx k = 0; k < nz; ++k) local.colidx.push_back(meta[off++]);
-      ++row;
-    }
-    PROM_CHECK(off == meta.size());
-    local.vals.insert(local.vals.end(), recv_vals[s].begin(),
-                      recv_vals[s].end());
-  }
-  PROM_CHECK(row == local.nrows &&
-             local.vals.size() == local.colidx.size());
-  return DistCsr::from_local_rows(comm, local, rows, cols);
-}
-
 RepartitionResult repartition_mesh(parx::Comm& comm, const DistCsr& a,
                                    std::span<const idx> old_perm,
                                    std::span<const idx> new_owner) {

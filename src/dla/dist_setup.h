@@ -39,16 +39,6 @@ DistCsr dist_galerkin_product(parx::Comm& comm, const DistCsr& r,
                               const DistCsr& a,
                               std::span<const idx> fine_col_serial = {});
 
-/// Repartitions `a` onto new row/column distributions of the same global
-/// sizes (the coarse-level rank-agglomeration step): every owned row is
-/// shipped to its new owner with global column ids in storage order, so
-/// the redistributed matrix holds bit-identical rows — redistributing
-/// back round-trips exactly. Ranks owning nothing under `rows` (the
-/// agglomeration's idle set) end up with an empty local block and no
-/// exchange-plan roles at this level. Collective.
-DistCsr dist_redistribute(parx::Comm& comm, const DistCsr& a,
-                          const RowDist& rows, const RowDist& cols);
-
 /// Result of repartition_mesh: the migrated operator plus the permutation
 /// (new global index -> serial index) its rows and columns now follow.
 struct RepartitionResult {
@@ -59,9 +49,9 @@ struct RepartitionResult {
 /// Migrates a row-distributed operator onto a new serial-row -> rank
 /// assignment (the refine->rebalance step: `new_owner` is typically
 /// partition::rcb_partition of the refined mesh, expanded to dofs).
-/// Unlike dist_redistribute, the global numbering changes: the new
-/// numbering stable-sorts the serial rows by their new owner — exactly
-/// the recipe DistHierarchy::build uses — so the result is bit-identical
+/// The global numbering changes: the new numbering stable-sorts the
+/// serial rows by their new owner — exactly the recipe
+/// DistHierarchy::build uses — so the result is bit-identical
 /// to DistCsr::from_global_permuted of the serial operator under the new
 /// assignment, without any rank touching the serial matrix. `old_perm`
 /// maps `a`'s current global ids to serial ids (DistHierarchy::

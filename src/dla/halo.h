@@ -56,11 +56,6 @@ class HaloPlan {
 
   int num_send_peers() const { return static_cast<int>(send_peers_.size()); }
   int num_recv_peers() const { return static_cast<int>(recv_peers_.size()); }
-  /// Peer ranks in registration (ascending rank) order — what the
-  /// agglomeration tests and benches inspect: at a repartitioned level
-  /// every plan role belongs to that level's active-rank set.
-  const std::vector<int>& send_peers() const { return send_peers_; }
-  const std::vector<int>& recv_peers() const { return recv_peers_; }
   /// Total scalar values shipped / received per column per exchange.
   std::int64_t send_count() const {
     return static_cast<std::int64_t>(send_idx_.size());

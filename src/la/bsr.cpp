@@ -168,18 +168,6 @@ void Bsr<BS>::spmv(BlockCRef x, BlockRef y) const {
 }
 
 template <int BS>
-void Bsr<BS>::spmv_add(BlockCRef x, BlockRef y) const {
-  check_shapes(*this, x, y);
-  const auto xp = col_ptrs(x);
-  const auto yp = col_ptrs(y);
-  brows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, {},
-             [&](idx i, int j, const real* acc) {
-               real* yi = yp[j] + static_cast<std::size_t>(i) * BS;
-               for (int r = 0; r < BS; ++r) yi[r] += acc[r];
-             });
-}
-
-template <int BS>
 void Bsr<BS>::residual(BlockCRef b, BlockCRef x, BlockRef r) const {
   check_shapes(*this, x, r);
   fused_residual(*this, b, x, r, {});

@@ -60,9 +60,6 @@ struct Bsr {
   /// order, so column j is bitwise identical to the k=1 product.
   void spmv(BlockCRef x, BlockRef y) const;
 
-  /// Y += A X
-  void spmv_add(BlockCRef x, BlockRef y) const;
-
   /// R = B - A X, fused (same bits as spmv followed by r = b - y).
   void residual(BlockCRef b, BlockCRef x, BlockRef r) const;
 

@@ -113,14 +113,6 @@ void Csr::spmv(BlockCRef x, BlockRef y) const {
   product(*this, x, y, {});
 }
 
-void Csr::spmv_add(BlockCRef x, BlockRef y) const {
-  check_shapes(*this, x, y);
-  const auto xp = col_ptrs(x);
-  const auto yp = col_ptrs(y);
-  rows_core(*this, {xp.data(), static_cast<std::size_t>(x.cols())}, {},
-            [&](idx i, int j, real sum) { yp[j][i] += sum; });
-}
-
 void Csr::spmv_transpose(BlockCRef x, BlockRef y) const {
   PROM_CHECK(x.rows() == nrows && y.rows() == ncols && x.cols() == y.cols());
   const idx grain = transpose_grain(nrows);

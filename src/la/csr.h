@@ -34,9 +34,6 @@ struct Csr {
   /// to the k=1 product of that column.
   void spmv(BlockCRef x, BlockRef y) const;
 
-  /// Y += A X
-  void spmv_add(BlockCRef x, BlockRef y) const;
-
   /// Y = A^T X (no explicit transpose formed), column by column in one
   /// call with one scratch buffer.
   void spmv_transpose(BlockCRef x, BlockRef y) const;

@@ -55,17 +55,6 @@ void vcycle_any(const V& h, int level, la::BlockCRef b, la::BlockRef x) {
   const idx n = h.local_n(level);
   PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == k);
 
-  // Coarse-level agglomeration (views exposing level_inactive): a rank
-  // outside this level's active set holds no rows and no exchange-plan
-  // roles at or below it, so the whole subtree is skipped. Its share of
-  // the level boundary — the restriction / prolongation exchange — runs
-  // in the caller's frame, where it still holds plan roles.
-  if constexpr (requires {
-                  { h.level_inactive(level) } -> std::convertible_to<bool>;
-                }) {
-    if (h.level_inactive(level)) return;
-  }
-
   if (level + 1 == h.num_levels()) {
     const obs::Span span("mg.coarse_solve", level);
     h.coarse_solve(b, x);

@@ -490,16 +490,6 @@ MatrixFormat matrix_format_from_env() {
   return MatrixFormat::kCsr;
 }
 
-idx agglom_min_rows_from_env() {
-  const char* env = std::getenv("PROM_MIN_ROWS_PER_RANK");
-  if (env == nullptr || env[0] == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  PROM_CHECK_MSG(end != env && *end == '\0' && v >= 0,
-                 "PROM_MIN_ROWS_PER_RANK must be a non-negative integer");
-  return static_cast<idx>(v);
-}
-
 void Hierarchy::enable_bsr() {
   const obs::Span span("setup.enable_bsr");
   PROM_CHECK_MSG(block_size_ == 3,

@@ -44,11 +44,6 @@ enum class MatrixFormat : std::uint8_t { kCsr, kBsr3, kMf };
 /// or empty means kCsr). Fails fast on an unknown value.
 MatrixFormat matrix_format_from_env();
 
-/// Reads PROM_MIN_ROWS_PER_RANK (the coarse-level rank-agglomeration
-/// threshold; unset, empty, or 0 disables agglomeration). Fails fast on
-/// a negative or non-numeric value.
-idx agglom_min_rows_from_env();
-
 /// kDense / kSparseCholesky factor symmetric operators (LDL^T /
 /// Cholesky); kDenseLu is the general-matrix option required by the
 /// non-symmetric scalar classes (SUPG advection–diffusion), where the
@@ -76,14 +71,6 @@ struct MgOptions {
   /// Coarsest-level factorization; sparse Cholesky (with RCM) keeps the
   /// redundant coarse solve cheap when coarsest_max_dofs is raised.
   CoarseSolverKind coarse_solver = CoarseSolverKind::kDense;
-
-  /// Coarse-level rank agglomeration (distributed solves only): a level
-  /// whose global row count leaves fewer than this many rows per rank is
-  /// repartitioned onto a halved active-rank subset until each active
-  /// rank holds at least this many rows (or one rank remains). 0
-  /// disables agglomeration — every level keeps every rank, the seed
-  /// behavior. Seeded from PROM_MIN_ROWS_PER_RANK.
-  idx agglom_min_rows = agglom_min_rows_from_env();
 };
 
 struct MgLevel {

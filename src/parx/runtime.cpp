@@ -56,7 +56,7 @@ class Context {
           return data;
         }
       }
-      box.cv.wait(lock);
+      wait(box, lock);
     }
   }
 
@@ -74,7 +74,7 @@ class Context {
           if (msg.src == s) return msg.src;
         }
       }
-      box.cv.wait(lock);
+      wait(box, lock);
     }
   }
 
@@ -94,7 +94,7 @@ class Context {
           return;
         }
       }
-      box.cv.wait(lock);
+      wait(box, lock);
     }
   }
 
@@ -110,6 +110,17 @@ class Context {
   TrafficStats& stats(int rank) { return stats_[rank]; }
   std::vector<TrafficStats> take_stats() { return std::move(stats_); }
 
+  /// Wakes every rank blocked in (or later entering) a wait with Aborted.
+  void abort() {
+    for (const auto& box : boxes_) {
+      {
+        const std::lock_guard<std::mutex> lock(box->m);
+        box->aborted = true;
+      }
+      box->cv.notify_all();
+    }
+  }
+
  private:
   struct Message {
     int src;
@@ -120,7 +131,15 @@ class Context {
     std::mutex m;
     std::condition_variable cv;
     std::deque<Message> q;
+    bool aborted = false;  ///< set by abort(), under m
   };
+
+  /// One sleep of a wait loop whose scan found nothing; `lock` holds
+  /// box.m. Untimed: a running region pays one flag read per sleep.
+  static void wait(Mailbox& box, std::unique_lock<std::mutex>& lock) {
+    if (box.aborted) throw Aborted();
+    box.cv.wait(lock);
+  }
 
   int nranks_;
   std::vector<std::unique_ptr<Mailbox>> boxes_;
@@ -140,77 +159,37 @@ constexpr int kTagAllgather = -5;
 
 }  // namespace
 
-int Comm::size() const {
-  return group_ != nullptr ? static_cast<int>(group_->size()) : ctx_->nranks();
-}
-
-int Comm::global_rank(int r) const {
-  if (group_ == nullptr) return r;
-  PROM_CHECK_MSG(r >= 0 && r < static_cast<int>(group_->size()),
-                 "rank outside this communicator's group");
-  return (*group_)[r];
-}
-
-Comm Comm::split(std::span<const int> members) const {
-  PROM_CHECK_MSG(!members.empty(), "split: empty member list");
-  auto group = std::make_shared<std::vector<int>>();
-  group->reserve(members.size());
-  int local = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    PROM_CHECK_MSG(members[i] >= 0 && members[i] < size(),
-                   "split: member outside this communicator");
-    PROM_CHECK_MSG(i == 0 || members[i - 1] < members[i],
-                   "split: members must be strictly ascending");
-    if (members[i] == rank_) local = static_cast<int>(i);
-    group->push_back(global_rank(members[i]));
-  }
-  PROM_CHECK_MSG(local >= 0, "split: the calling rank must be a member");
-  Comm sub(ctx_, local);
-  sub.group_ = std::move(group);
-  return sub;
-}
+int Comm::size() const { return ctx_->nranks(); }
 
 void Comm::send_bytes(int to, int tag, std::span<const std::byte> data) {
-  ctx_->send(global_rank(rank_), global_rank(to), tag, data);
+  ctx_->send(rank_, to, tag, data);
 }
 
 std::vector<std::byte> Comm::recv_bytes(int from, int tag) {
-  return ctx_->recv(global_rank(rank_), global_rank(from), tag);
+  return ctx_->recv(rank_, from, tag);
 }
 
 void Comm::recv_bytes_into(int from, int tag, std::span<std::byte> out) {
-  ctx_->recv_into(global_rank(rank_), global_rank(from), tag, out);
+  ctx_->recv_into(rank_, from, tag, out);
 }
 
 bool Comm::has_message(int from, int tag) const {
-  return ctx_->has_message(global_rank(rank_), global_rank(from), tag);
+  return ctx_->has_message(rank_, from, tag);
 }
 
 int Comm::wait_any(std::span<const int> sources, int tag) const {
-  if (group_ == nullptr) return ctx_->wait_any(rank_, sources, tag);
-  std::vector<int> gsources(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    gsources[i] = global_rank(sources[i]);
-  }
-  const int g = ctx_->wait_any(global_rank(rank_), gsources, tag);
-  for (std::size_t i = 0; i < gsources.size(); ++i) {
-    if (gsources[i] == g) return sources[i];
-  }
-  PROM_CHECK_MSG(false, "wait_any: source not in this communicator");
-  return -1;
+  return ctx_->wait_any(rank_, sources, tag);
 }
 
 TrafficStats Comm::traffic() const {
-  TrafficStats t = ctx_->stats(global_rank(rank_));
+  TrafficStats t = ctx_->stats(rank_);
   t.flops = thread_flops();
   return t;
 }
 
 void Comm::barrier() {
   const obs::Span span("parx.barrier");
-  // Binomial reduce to rank 0 followed by a binomial broadcast. All p2p
-  // below goes through send_bytes/recv_bytes, which translate group ranks
-  // onto the context — the same trees run unchanged on split() subsets.
+  // Binomial reduce to rank 0 followed by a binomial broadcast.
   const int p = size();
   const std::byte token{0};
   for (int mask = 1; mask < p; mask <<= 1) {
@@ -333,7 +312,7 @@ std::vector<T> allreduce_impl(Comm& comm, std::vector<T> v,
       }
     }
   };
-  // Binomial reduce to rank 0 (of this communicator).
+  // Binomial reduce to rank 0.
   for (int mask = 1; mask < p; mask <<= 1) {
     if (rank & mask) {
       comm.send_bytes(rank - mask, kTagReduce,
@@ -380,9 +359,14 @@ std::vector<TrafficStats> Runtime::run(
       try {
         Comm comm(&ctx, r);
         fn(comm);
+      } catch (const Aborted&) {
+        // A consequence of another rank's failure, which is on record.
       } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mutex);
-        if (!first_error) first_error = std::current_exception();
+        {
+          const std::lock_guard<std::mutex> lock(err_mutex);
+          if (!first_error) first_error = std::current_exception();
+        }
+        ctx.abort();
       }
       ctx.stats(r).flops = thread_flops();
     });

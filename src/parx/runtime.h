@@ -14,7 +14,9 @@
 //    so receivers can drain peers in arrival order (MPI_Waitany);
 //  - collectives are implemented over point-to-point with binomial trees
 //    or log-round dissemination schedules, so their traffic is O(log P)
-//    deep like a real MPI implementation.
+//    deep like a real MPI implementation;
+//  - a rank that throws aborts the whole region (like MPI_Abort): every
+//    other rank's blocking wait throws Aborted instead of hanging.
 #pragma once
 
 #include <algorithm>
@@ -22,8 +24,8 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -43,26 +45,22 @@ namespace detail {
 class Context;
 }
 
-/// Per-rank communicator handle; only valid inside Runtime::run.
-/// A Comm is either the world communicator Runtime::run hands to `fn` or
-/// a subset of it made by split(); either way it is a cheap value type
-/// (a context pointer, a rank, and a shared group list).
+/// Thrown by every blocking wait (recv, recv_into, wait_any, and so the
+/// barrier and every collective) once another rank of the same
+/// Runtime::run has failed: the region is being torn down, so nothing the
+/// caller waits for will arrive. Runtime::run never rethrows it — it
+/// rethrows the failing rank's original error instead.
+class Aborted : public std::runtime_error {
+ public:
+  Aborted() : std::runtime_error("parx: another rank failed") {}
+};
+
+/// Per-rank communicator handle over every rank of one Runtime::run; only
+/// valid inside it. A cheap value type: a context pointer and a rank.
 class Comm {
  public:
   int rank() const { return rank_; }
   int size() const;
-
-  /// Subset communicator over `members` — ranks of *this* communicator,
-  /// ascending, containing the caller; the result's rank r is members[r].
-  /// Construction is pure-local (no communication, unlike
-  /// MPI_Comm_split): every member derives the same group from the same
-  /// list, which is all the tree collectives need. Point-to-point and
-  /// collective traffic translates member ranks onto the parent context,
-  /// so tags and per-rank traffic counters are shared with the parent;
-  /// concurrent traffic on *overlapping* communicators with the same
-  /// (peer, tag) is the caller's responsibility, exactly as in MPI.
-  /// Disjoint subsets may communicate concurrently. Splits nest.
-  Comm split(std::span<const int> members) const;
 
   /// Buffered, non-blocking send of raw bytes. `tag` must be >= 0 (negative
   /// tags are reserved for collectives).
@@ -178,22 +176,18 @@ class Comm {
   friend class detail::Context;
   Comm(detail::Context* ctx, int rank) : ctx_(ctx), rank_(rank) {}
 
-  /// Context rank of communicator rank r (identity on the world comm).
-  int global_rank(int r) const;
-
   std::vector<std::byte> bcast_bytes(std::vector<std::byte> data, int root);
   std::vector<std::vector<std::byte>> allgatherv_bytes(
       std::span<const std::byte> mine);
 
   detail::Context* ctx_;
   int rank_;
-  /// Ascending context ranks of the group; null means the full context.
-  /// Shared so copying a Comm (and nesting splits) stays cheap.
-  std::shared_ptr<const std::vector<int>> group_;
 };
 
-/// Launches an SPMD region on `nranks` virtual ranks (threads). Exceptions
-/// thrown by any rank are re-thrown (the first one) after all join.
+/// Launches an SPMD region on `nranks` virtual ranks (threads). The first
+/// exception a rank throws aborts the region — every rank blocked in, or
+/// later entering, a wait throws Aborted — and is rethrown after all
+/// ranks join.
 class Runtime {
  public:
   static std::vector<TrafficStats> run(

@@ -1,7 +1,7 @@
 // Frozen bitwise record of the single-column solve paths. Every solver
 // entry point that takes one right-hand side — serial MG-PCG in each
 // fine-level format and with each smoother, distributed MG-PCG at several
-// rank counts (agglomerated too), serial and distributed GMRES and
+// rank counts, serial and distributed GMRES and
 // BiCGStab on advection-diffusion, and bare V-cycle / FMG applications —
 // must reproduce the residual history (every entry, as a hex double) and
 // the solution bits (an FNV-1a hash of the solution in the serial dof
@@ -99,15 +99,13 @@ struct Problem {
 
 /// 6^3 elasticity box with a forced multi-level hierarchy; `bsr_mf` also
 /// builds the node-block and matrix-free fine-level views.
-Problem elasticity(mg::SmootherKind kind, bool bsr_mf = false,
-                   idx agglom_min_rows = 0) {
+Problem elasticity(mg::SmootherKind kind, bool bsr_mf = false) {
   const app::ModelProblem p = app::make_box_problem(6);
   fem::FeProblem fe(p.mesh, p.materials, p.dofmap);
   fem::LinearSystem sys = fem::assemble_linear_system(fe);
   mg::MgOptions mo;
   mo.smoother = kind;
   mo.coarsest_max_dofs = 60;
-  mo.agglom_min_rows = agglom_min_rows;
   Problem out;
   out.rhs = std::move(sys.rhs);
   out.num_vertices = p.mesh.num_vertices();
@@ -253,11 +251,6 @@ std::map<std::string, Record> compute_all() {
         serial_krylov(prob, solve_options());
     out[std::string("dist_pcg_p2_") + name] =
         distributed(prob, 2, DistRun::kKrylov);
-  }
-  {
-    const Problem prob =
-        elasticity(SK::kBlockJacobi, /*bsr_mf=*/false, /*agglom=*/150);
-    out["dist_pcg_p4_agglom"] = distributed(prob, 4, DistRun::kKrylov);
   }
   {
     const Problem prob = advdiff();

@@ -202,25 +202,6 @@ TEST(ColBlockView, ConversionsAddressTheSameStorage) {
   EXPECT_EQ(v[6], -1.0);
 }
 
-TEST(BlockedCsrProperty, SpmvAddAddsTheSpmvBits) {
-  Rng rng(0xADD);
-  const Csr a = random_csr(rng, 600, 450, 8);
-  std::vector<real> x(static_cast<std::size_t>(a.ncols));
-  std::vector<real> y0(static_cast<std::size_t>(a.nrows));
-  for (real& v : x) v = 2 * rng.next_real() - 1;
-  for (real& v : y0) v = 2 * rng.next_real() - 1;
-  const std::vector<real> ref = reference_spmv(a, x);
-  for (const int threads : {1, 2, 8}) {
-    common::set_kernel_threads(threads);
-    std::vector<real> y = y0;
-    a.spmv_add(x, y);
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      ASSERT_EQ(y[i], y0[i] + ref[i]) << threads << " threads, row " << i;
-    }
-  }
-  common::set_kernel_threads(0);
-}
-
 // ---------------------------------------------------------------------------
 // Dense factors: frozen copies of the original factorizations and their
 // row-oriented solves.

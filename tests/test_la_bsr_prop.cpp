@@ -177,13 +177,6 @@ TEST(BsrKernels, SpmvMatchesCsrBitwise) {
   s.spmv(x, ys);
   expect_bitwise_equal(yb, ys, "spmv");
 
-  // spmv_add on top of an existing vector.
-  std::vector<real> zb = random_vec(rng, m.rows());
-  std::vector<real> zs = zb;
-  m.spmv_add(x, zb);
-  for (std::size_t i = 0; i < zs.size(); ++i) zs[i] += ys[i];
-  expect_bitwise_equal(zb, zs, "spmv_add");
-
   // The fused residual: same bits as spmv followed by b - y.
   const std::vector<real> b = random_vec(rng, m.rows());
   std::vector<real> rb(b.size());

@@ -75,15 +75,6 @@ TEST_P(CsrRandom, SpmvMatchesDense) {
   for (idx i = 0; i < 17; ++i) EXPECT_NEAR(y[i], ref[i], 1e-12);
 }
 
-TEST_P(CsrRandom, SpmvAddAccumulates) {
-  const Csr a = random_sparse(9, 9, 40, GetParam());
-  const std::vector<real> x = random_vec(9, GetParam() + 2);
-  std::vector<real> y(9, 1.0), y2(9);
-  a.spmv(x, y2);
-  a.spmv_add(x, y);
-  for (idx i = 0; i < 9; ++i) EXPECT_NEAR(y[i], y2[i] + 1.0, 1e-13);
-}
-
 TEST_P(CsrRandom, TransposeIsInvolutionAndConsistent) {
   const Csr a = random_sparse(11, 7, 40, GetParam());
   const Csr at = a.transposed();

@@ -2,6 +2,11 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "common/flops.h"
 #include "parx/runtime.h"
@@ -244,107 +249,6 @@ TEST_P(ParxRanks, TrafficStatsCountSends) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParxRanks,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 13));
 
-TEST(Parx, SplitSubsetCollectivesAndConcurrentDisjointGroups) {
-  // Evens and odds each split off their own communicator and run the same
-  // collectives concurrently: translation keeps every message inside the
-  // group, so the shared tag space never cross-talks between disjoint
-  // groups.
-  Runtime::run(8, [](Comm& comm) {
-    std::vector<int> members;
-    for (int r = comm.rank() % 2; r < 8; r += 2) members.push_back(r);
-    Comm sub = comm.split(members);
-    EXPECT_EQ(sub.size(), 4);
-    EXPECT_EQ(sub.rank(), comm.rank() / 2);
-    const double sum = sub.allreduce_sum(1.0 * comm.rank());
-    EXPECT_DOUBLE_EQ(sum, comm.rank() % 2 == 0 ? 12.0 : 16.0);
-    std::vector<int> data;
-    if (sub.rank() == 1) data = {comm.rank() % 2 + 100};
-    data = sub.bcast(std::move(data), 1);
-    ASSERT_EQ(data.size(), 1u);
-    EXPECT_EQ(data[0], comm.rank() % 2 + 100);
-    const auto all = sub.allgatherv(std::vector<int>{comm.rank()});
-    ASSERT_EQ(all.size(), 4u);
-    for (int r = 0; r < 4; ++r) {
-      ASSERT_EQ(all[r].size(), 1u);
-      EXPECT_EQ(all[r][0], 2 * r + comm.rank() % 2);
-    }
-    sub.barrier();
-  });
-}
-
-TEST(Parx, SplitTranslatesPointToPointAndTraffic) {
-  // Group ranks are translated at the p2p boundary: subcomm rank 0 is
-  // global rank 1, and the traffic stats bill that global rank.
-  const auto stats = Runtime::run(4, [](Comm& comm) {
-    if (comm.rank() != 1 && comm.rank() != 3) return;
-    Comm sub = comm.split(std::vector<int>{1, 3});
-    if (sub.rank() == 0) {
-      sub.send_value<int>(1, 9, 77);
-      EXPECT_EQ(sub.traffic().messages_sent, 1);
-    } else {
-      EXPECT_EQ(sub.recv_value<int>(0, 9), 77);
-      EXPECT_FALSE(sub.has_message(0, 9));
-    }
-  });
-  EXPECT_EQ(stats[1].messages_sent, 1);
-  EXPECT_EQ(stats[3].messages_sent, 0);
-}
-
-TEST(Parx, SplitNests) {
-  // A split of a split composes the translations: members are named in
-  // parent-communicator ranks at every layer.
-  Runtime::run(8, [](Comm& comm) {
-    if (comm.rank() % 2 != 0) return;
-    Comm evens = comm.split(std::vector<int>{0, 2, 4, 6});
-    if (evens.rank() >= 2) return;
-    Comm pair = evens.split(std::vector<int>{0, 1});  // global {0, 2}
-    EXPECT_EQ(pair.size(), 2);
-    EXPECT_DOUBLE_EQ(pair.allreduce_sum(1.0 * comm.rank()), 2.0);
-    const auto all = pair.allgatherv(std::vector<int>{comm.rank()});
-    ASSERT_EQ(all.size(), 2u);
-    EXPECT_EQ(all[0][0], 0);
-    EXPECT_EQ(all[1][0], 2);
-  });
-}
-
-TEST(Parx, SplitWaitAnyReportsGroupRanks) {
-  // Arrival-order drain inside a subcomm: sources are listed and reported
-  // in group ranks (the halo plans of agglomerated levels rely on this).
-  Runtime::run(4, [](Comm& comm) {
-    if (comm.rank() == 0) return;
-    Comm sub = comm.split(std::vector<int>{1, 2, 3});
-    constexpr int kTag = 17;
-    if (sub.rank() == 0) {
-      const std::vector<int> sources = {1, 2};
-      const int first = sub.wait_any(sources, kTag);
-      EXPECT_EQ(first, 2);
-      EXPECT_EQ(sub.recv_value<int>(2, kTag), 22);
-      sub.send_value<int>(1, kTag + 1, 0);  // release sub rank 1
-      const int second = sub.wait_any(sources, kTag);
-      EXPECT_EQ(second, 1);
-      EXPECT_EQ(sub.recv_value<int>(1, kTag), 11);
-    } else if (sub.rank() == 1) {
-      (void)sub.recv_value<int>(0, kTag + 1);
-      sub.send_value<int>(0, kTag, 11);
-    } else {
-      sub.send_value<int>(0, kTag, 22);
-    }
-  });
-}
-
-TEST(Parx, SplitSingletonBehavesLikeSingleRankWorld) {
-  Runtime::run(3, [](Comm& comm) {
-    Comm solo = comm.split(std::vector<int>{comm.rank()});
-    EXPECT_EQ(solo.size(), 1);
-    EXPECT_EQ(solo.rank(), 0);
-    EXPECT_DOUBLE_EQ(solo.allreduce_sum(2.5), 2.5);
-    solo.barrier();
-    const auto all = solo.allgatherv(std::vector<int>{comm.rank()});
-    ASSERT_EQ(all.size(), 1u);
-    EXPECT_EQ(all[0][0], comm.rank());
-  });
-}
-
 TEST(Parx, ExceptionInRankPropagates) {
   EXPECT_THROW(Runtime::run(3,
                             [](Comm& comm) {
@@ -354,6 +258,110 @@ TEST(Parx, ExceptionInRankPropagates) {
                             }),
                Error);
 }
+
+// A rank failure aborts the region. The other ranks are blocked in a
+// wait on the failing rank (or about to enter one), wake with Aborted, and
+// run() rethrows the failing rank's own error — never Aborted. Each case
+// fails the first or the last rank, either at once (the others may not
+// have reached the wait yet) or only after every other rank has announced
+// it is entering the wait (they are blocked, or about to block, on the
+// failed rank). Every wait below depends on the failing rank, so no other
+// rank can leave it normally.
+enum class Wait {
+  kRecv,
+  kRecvInto,
+  kWaitAny,
+  kBarrier,
+  kBcast,
+  kAllreduce,
+  kAllgatherv
+};
+
+constexpr const char* kWaitNames[] = {"recv",      "recv_into", "wait_any",
+                                      "barrier",   "bcast",     "allreduce",
+                                      "allgatherv"};
+
+void enter_wait(Comm& comm, Wait w, int failing) {
+  constexpr int kTag = 31;
+  switch (w) {
+    case Wait::kRecv:
+      (void)comm.recv<int>(failing, kTag);
+      break;
+    case Wait::kRecvInto: {
+      int v = 0;
+      comm.recv_into<int>(failing, kTag, {&v, 1});
+      break;
+    }
+    case Wait::kWaitAny: {
+      const int sources[] = {failing};
+      (void)comm.wait_any(sources, kTag);
+      break;
+    }
+    case Wait::kBarrier:
+      comm.barrier();
+      break;
+    case Wait::kBcast:
+      (void)comm.bcast(std::vector<int>{1}, failing);
+      break;
+    case Wait::kAllreduce:
+      (void)comm.allreduce_sum(1.0);
+      break;
+    case Wait::kAllgatherv:
+      (void)comm.allgatherv(std::vector<int>{comm.rank()});
+      break;
+  }
+}
+
+struct RankFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+class ParxAbort : public ::testing::TestWithParam<std::tuple<Wait, int>> {};
+
+TEST_P(ParxAbort, RunRethrowsTheFailingRanksError) {
+  const auto [wait, p] = GetParam();
+  for (const int failing : {0, p - 1}) {
+    for (const bool inside : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "failing rank " << failing
+                                        << (inside ? ", inside" : ", before"));
+      const std::string what = "rank " + std::to_string(failing) + " failed";
+      std::atomic<int> entering{0};
+      try {
+        Runtime::run(p, [&](Comm& comm) {
+          if (comm.rank() != failing) {
+            entering.fetch_add(1);
+            enter_wait(comm, wait, failing);
+            ADD_FAILURE() << "rank " << comm.rank() << " left the wait";
+            return;
+          }
+          if (inside) {
+            while (entering.load() < p - 1) std::this_thread::yield();
+          }
+          throw RankFailure(what);
+        });
+        ADD_FAILURE() << "run returned normally";
+      } catch (const RankFailure& e) {
+        EXPECT_EQ(e.what(), what);
+      } catch (const Aborted&) {
+        ADD_FAILURE() << "run rethrew Aborted instead of the original error";
+      }
+    }
+  }
+  // An aborted region leaves nothing behind: the next one runs normally.
+  Runtime::run(p, [](Comm& comm) { comm.barrier(); });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Waits, ParxAbort,
+    ::testing::Combine(::testing::Values(Wait::kRecv, Wait::kRecvInto,
+                                         Wait::kWaitAny, Wait::kBarrier,
+                                         Wait::kBcast, Wait::kAllreduce,
+                                         Wait::kAllgatherv),
+                       ::testing::Values(2, 4, 8)),
+    [](const ::testing::TestParamInfo<std::tuple<Wait, int>>& info) {
+      return kWaitNames[static_cast<int>(std::get<0>(info.param))] +
+             std::string("_p") + std::to_string(std::get<1>(info.param));
+    });
 
 TEST(Parx, FlopCountsPerRank) {
   const auto stats = Runtime::run(4, [](Comm& comm) {

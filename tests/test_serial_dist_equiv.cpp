@@ -219,7 +219,7 @@ void expect_histories_match(const la::KrylovResult& ref,
 
 // Scalar (block-size-1) hierarchy, SPD class: the same backend-generic
 // PCG on a one-dof-per-vertex operator chain — MIS grids, Galerkin chain,
-// halo plans, and agglomeration all at block size 1.
+// and halo plans all at block size 1.
 TEST_P(EquivRanks, ScalarPoissonPcgHistoryMatchesSerial) {
   const Problem prob =
       build_scalar_problem(app::EquationClass::kPoissonHet);
