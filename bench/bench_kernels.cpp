@@ -125,11 +125,13 @@ void BM_BlockJacobiSweep(benchmark::State& state) {
     }
   }
   const graph::Graph g = graph::Graph::from_edges(a.stiffness.nrows, edges);
-  const la::BlockJacobiSmoother smoother(
-      a.stiffness, partition::block_jacobi_blocks(g, per1000), 0.6);
+  const la::CsrOperator op(a.stiffness);
+  const la::Smoother smoother = la::Smoother::build(
+      la::SerialBackend{}, op, a.stiffness, la::SmootherKind::kBlockJacobi,
+      0.6, 3, partition::block_jacobi_blocks(g, per1000));
   std::vector<real> b(a.stiffness.nrows, 1.0), x(a.stiffness.nrows, 0.0);
   for (auto _ : state) {
-    smoother.smooth(b, x);
+    smoother.smooth(la::SerialBackend{}, op, b, x);
     benchmark::DoNotOptimize(x.data());
   }
 }
@@ -293,10 +295,13 @@ BENCHMARK(BM_SpmvThreads)->Apply([](benchmark::internal::Benchmark* b) {
 
 void BM_ChebyshevSmootherThreads(benchmark::State& state) {
   const Assembled& a = assembled(static_cast<idx>(state.range(0)));
-  const la::ChebyshevSmoother smoother(a.stiffness, 3);
+  const la::CsrOperator op(a.stiffness);
+  const la::Smoother smoother =
+      la::Smoother::build(la::SerialBackend{}, op, a.stiffness,
+                          la::SmootherKind::kChebyshev, 0, 3);
   std::vector<real> b(a.stiffness.nrows, 1.0), x(a.stiffness.nrows, 0.0);
   run_thread_sweep(state, "chebyshev", [&] {
-    smoother.smooth(b, x);
+    smoother.smooth(la::SerialBackend{}, op, b, x);
     benchmark::DoNotOptimize(x.data());
   });
 }

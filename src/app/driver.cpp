@@ -238,7 +238,7 @@ LinearStudyReport run_linear_study(const ModelProblem& problem,
       std::shared_ptr<const ModelProblem>(std::shared_ptr<void>(), &problem));
   const EntryHandle entry = service.acquire("study");
   report.unknowns = entry->unknowns;
-  report.levels = entry->grids.num_levels();
+  report.levels = entry->per_rank[0].num_levels();
 
   SolveRequest req;
   req.mesh_id = "study";

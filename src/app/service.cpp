@@ -121,6 +121,10 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
                        "advdiff) support only PROM_MATRIX=csr; "
                        "PROM_MATRIX=mf is elasticity-only");
 
+  // The refined mesh family, like the partition, the assembled system and
+  // the serial grids below, lives only for this build: the distributed
+  // hierarchies copy what they keep of it.
+  std::unique_ptr<AdaptiveLoop> loop;
   if (refine_rounds > 0) {
     const obs::Span span("phase.refine");
     AdaptiveOptions aopts;
@@ -128,17 +132,17 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
     aopts.mark_fraction = config_.refine_fraction;
     aopts.mg = config_.mg;
     aopts.cycle = config_.cycle;
-    entry->refined = std::make_unique<AdaptiveLoop>(
+    loop = std::make_unique<AdaptiveLoop>(
         run_adaptive_refinement(problem, aopts));
   }
-  const AdaptiveLoop* refined = entry->refined.get();
+  AdaptiveLoop* const refined = loop.get();
 
+  std::vector<idx> vertex_owner;
   {
     const obs::Span span("phase.partition");
     const mesh::Mesh& pmesh =
         refined != nullptr ? refined->final_mesh() : problem.mesh;
-    entry->vertex_owner =
-        partition::rcb_partition(pmesh.coords(), config_.nranks);
+    vertex_owner = partition::rcb_partition(pmesh.coords(), config_.nranks);
     if (refined != nullptr) {
       // How lopsided the refined mesh would be under the *unrefined*
       // partition (midpoints inheriting a parent's rank) vs the fresh
@@ -150,44 +154,46 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
           partition_imbalance(inherit_owners(*refined, base_owner),
                               config_.nranks));
       obs::gauge_set("refine.imbalance.rebalanced",
-                     partition_imbalance(entry->vertex_owner,
-                                         config_.nranks));
+                     partition_imbalance(vertex_owner, config_.nranks));
     }
   }
+  fem::LinearSystem sys;
   {
     const obs::Span span("phase.fine_grid");
     if (refined != nullptr) {
-      entry->sys = std::move(entry->refined->sys);
+      sys = std::move(refined->sys);
     } else if (scalar) {
-      fem::ScalarSystem sys = fem::assemble_scalar_system(
+      fem::ScalarSystem ss = fem::assemble_scalar_system(
           problem.mesh, problem.scalar_dofmap, problem.coeffs);
-      entry->sys.stiffness = std::move(sys.stiffness);
-      entry->sys.rhs = std::move(sys.rhs);
+      sys.stiffness = std::move(ss.stiffness);
+      sys.rhs = std::move(ss.rhs);
     } else {
       fem::FeProblem fe(problem.mesh, problem.materials, problem.dofmap);
-      entry->sys = fem::assemble_linear_system(fe);
+      sys = fem::assemble_linear_system(fe);
     }
   }
-  entry->unknowns = entry->sys.stiffness.nrows;
+  entry->unknowns = sys.stiffness.nrows;
+  entry->rhs = std::move(sys.rhs);
+  // The fine matrix moves into the grids; each rank keeps its row slice.
+  mg::Hierarchy grids;
   {
     const obs::Span span("phase.mesh_setup");
     if (refined != nullptr) {
-      entry->grids =
-          scalar ? mg::Hierarchy::build_grids_refined_scalar(
-                       refined->mesh_ptrs(), refined->scalar_dofmap_ptrs(),
-                       refined->rounds, entry->sys.stiffness, config_.mg)
-                 : mg::Hierarchy::build_grids_refined(
-                       refined->mesh_ptrs(), refined->dofmap_ptrs(),
-                       refined->rounds, entry->sys.stiffness, config_.mg);
+      grids = scalar ? mg::Hierarchy::build_grids_refined_scalar(
+                           refined->mesh_ptrs(), refined->scalar_dofmap_ptrs(),
+                           refined->rounds, std::move(sys.stiffness),
+                           config_.mg)
+                     : mg::Hierarchy::build_grids_refined(
+                           refined->mesh_ptrs(), refined->dofmap_ptrs(),
+                           refined->rounds, std::move(sys.stiffness),
+                           config_.mg);
     } else {
-      entry->grids =
-          scalar
-              ? mg::Hierarchy::build_grids_scalar(problem.mesh,
-                                                  problem.scalar_dofmap,
-                                                  entry->sys.stiffness,
-                                                  config_.mg)
-              : mg::Hierarchy::build_grids(problem.mesh, problem.dofmap,
-                                           entry->sys.stiffness, config_.mg);
+      grids = scalar ? mg::Hierarchy::build_grids_scalar(
+                           problem.mesh, problem.scalar_dofmap,
+                           std::move(sys.stiffness), config_.mg)
+                     : mg::Hierarchy::build_grids(problem.mesh, problem.dofmap,
+                                                  std::move(sys.stiffness),
+                                                  config_.mg);
     }
   }
 
@@ -205,7 +211,7 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
         mf_refined ? &refined->final_dofmap() : &problem.dofmap,
         /*bbar=*/true};
     entry->per_rank[comm.rank()] = dla::DistHierarchy::build(
-        comm, entry->grids, entry->vertex_owner, config_.format,
+        comm, grids, vertex_owner, config_.format,
         config_.format == mg::MatrixFormat::kMf ? &mf : nullptr);
     comm.barrier();
   });
@@ -230,8 +236,7 @@ SolveResponse SolveService::solve_with(const EntryHandle& entry,
   la::MultiVec b;
   if (req.rhs.rows() == 0 && req.rhs.cols() == 0) {
     b.resize(entry->unknowns, 1);
-    std::copy(entry->sys.rhs.begin(), entry->sys.rhs.end(),
-              b.col(0).begin());
+    std::copy(entry->rhs.begin(), entry->rhs.end(), b.col(0).begin());
   } else {
     PROM_CHECK_MSG(req.rhs.rows() == entry->unknowns,
                    "SolveRequest::rhs rows must equal the free-dof count");

@@ -45,21 +45,16 @@ struct ServiceConfig {
 };
 
 /// One cached setup: everything DistHierarchy::build produced, per
-/// virtual rank, plus the assembled system the right-hand sides default
-/// to. Handles are shared_ptrs, so eviction never invalidates an entry a
-/// caller still holds.
+/// virtual rank, plus the assembled load vector the right-hand sides
+/// default to — what solve_with reads. Setup-only data (the refined mesh
+/// family, the partition, the fine matrix, the serial grids) does not
+/// outlive build_entry. Handles are shared_ptrs, so eviction never
+/// invalidates an entry a caller still holds.
 struct ServiceEntry {
   std::string key;  ///< the cache fingerprint this entry was built under
   std::shared_ptr<const ModelProblem> problem;
-  /// The refined mesh family the entry was built on (null when the entry
-  /// ran zero refinement rounds). Owns the final mesh and dof maps the
-  /// grids — and the matrix-free fine operator — point into, and the
-  /// per-round dof counts callers report; `sys` below is the refined
-  /// system (AdaptiveLoop::sys moved out).
-  std::unique_ptr<AdaptiveLoop> refined;
-  std::vector<idx> vertex_owner;
-  fem::LinearSystem sys;
-  mg::Hierarchy grids;
+  /// The assembled load vector (serial free-dof numbering).
+  std::vector<real> rhs;
   /// Rank r's distributed hierarchy (parx ranks share one address space,
   /// so the whole set lives here and each solve re-enters the runtime).
   std::vector<dla::DistHierarchy> per_rank;

@@ -9,67 +9,12 @@
 #include "dla/dist_vec.h"
 #include "dla/parx_backend.h"
 #include "la/krylov_any.h"
-#include "la/smoother_kernels.h"
-#include "la/smoothers.h"
 #include "la/vec.h"
 #include "mg/cycle_any.h"
 #include "obs/trace.h"
-#include "partition/greedy.h"
 
 namespace prom::dla {
 namespace {
-
-graph::Graph graph_of_pattern(const la::Csr& a) {
-  std::vector<std::pair<idx, idx>> edges;
-  for (idx i = 0; i < a.nrows; ++i) {
-    for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-      if (a.colidx[k] > i && a.colidx[k] < a.nrows) {
-        edges.emplace_back(i, a.colidx[k]);
-      }
-    }
-  }
-  return graph::Graph::from_edges(a.nrows, edges);
-}
-
-/// Redundant dense factorization of the (gathered, constant-size) coarsest
-/// operator, with the same diagonal-shift escalation as the serial build.
-std::unique_ptr<la::DenseLdlt> factor_coarse(const la::Csr& a) {
-  la::DenseMatrix dense(a.nrows, a.ncols);
-  for (idx i = 0; i < a.nrows; ++i) {
-    for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-      dense(i, a.colidx[k]) = a.vals[k];
-    }
-  }
-  auto direct = std::make_unique<la::DenseLdlt>(dense);
-  if (!direct->ok()) {
-    real max_diag = 1;
-    for (idx i = 0; i < a.nrows; ++i) {
-      max_diag = std::max(max_diag, std::abs(dense(i, i)));
-    }
-    for (real shift = 1e-12 * max_diag; !direct->ok(); shift *= 10) {
-      la::DenseMatrix shifted = dense;
-      for (idx i = 0; i < a.nrows; ++i) shifted(i, i) += shift;
-      *direct = la::DenseLdlt(shifted);
-      PROM_CHECK(shift < 1e30);
-    }
-  }
-  return direct;
-}
-
-/// LU counterpart of factor_coarse for non-symmetric coarsest operators:
-/// partial pivoting needs no shift escalation.
-std::unique_ptr<la::DenseLu> factor_coarse_lu(const la::Csr& a) {
-  la::DenseMatrix dense(a.nrows, a.ncols);
-  for (idx i = 0; i < a.nrows; ++i) {
-    for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-      dense(i, a.colidx[k]) = a.vals[k];
-    }
-  }
-  auto direct = std::make_unique<la::DenseLu>(dense);
-  PROM_CHECK_MSG(direct->ok(),
-                 "coarsest-level LU factorization failed (singular)");
-  return direct;
-}
 
 /// The one format dispatch of the solve phase: calls f with level `lv`'s
 /// operator in `format`, wrapped as a DistOperatorRef. The node-block and
@@ -140,64 +85,29 @@ struct DistCycleView {
     // one allgatherv carries every column, one factor-solve serves them
     // all in place, and each rank keeps its slice.
     la::MultiVec full = dist_gather_all_mv(*comm, lv.a.row_dist(), b);
-    const idx n = full.rows();
-    const int k = full.cols();
-    const std::span<real> all(full.data(), static_cast<std::size_t>(n) * k);
-    if (lv.direct != nullptr) {
-      lv.direct->solve_mv(all, all, k, n);
-    } else {
-      lv.direct_lu->solve_mv(all, all, k, n);
-    }
+    mg::solve_coarsest(lv.direct.get(), lv.direct_lu.get(), full, full);
     const idx b0 = lv.a.row_dist().begin(comm->rank());
-    for (int j = 0; j < k; ++j) {
+    for (int j = 0; j < full.cols(); ++j) {
       std::copy(full.col_data(j) + b0, full.col_data(j) + b0 + lv.local_n(),
                 x.col_data(j));
     }
   }
 };
 
-/// Smoother dispatch over the operator view: the sweeps are generic in
-/// the operator, so the CSR and node-block paths share one body.
-template <class Op>
-void smooth_with(const DistMgLevel& lv, parx::Comm& comm, const Op& op,
-                 la::BlockCRef b_local, la::BlockRef x_local) {
-  const ParxBackend be{&comm};
-  switch (lv.kind) {
-    case mg::SmootherKind::kJacobi:
-      la::jacobi_sweep(be, op, lv.inv_diag, lv.omega, b_local, x_local);
-      break;
-    case mg::SmootherKind::kChebyshev:
-      la::chebyshev_sweep(be, op, lv.inv_diag, lv.cheby_degree, lv.cheby_lmin,
-                          lv.cheby_lmax, b_local, x_local);
-      break;
-    default:
-      la::block_jacobi_sweep(be, op, lv.blocks, lv.factors, lv.omega, b_local,
-                             x_local);
-      break;
-  }
-}
-
 }  // namespace
 
 void DistMgLevel::smooth(parx::Comm& comm, la::BlockCRef b_local,
                          la::BlockRef x_local) const {
-  const auto sweep = [&](la::BlockRef x) {
-    with_operator(*this, smooth_format(*this), [&](const auto& op) {
-      smooth_with(*this, comm, op, b_local, x);
-    });
-  };
-  if (!smooth_masked) return sweep(x_local);
-  // Local smoothing (adaptive refinement levels): the full collective
-  // sweep runs on a scratch copy — same exchanges on every rank, since
-  // the masked flag is a level property, not a rank property — and only
-  // the refined-region rows this rank owns take the update.
-  la::MultiVec tmp(x_local);
-  sweep(tmp);
-  for (int j = 0; j < x_local.cols(); ++j) {
-    const real* tj = tmp.col_data(j);
-    real* xj = x_local.col_data(j);
-    for (idx i : smooth_rows_local) xj[i] = tj[i];
-  }
+  const ParxBackend be{&comm};
+  with_operator(*this, smooth_format(*this), [&](const auto& op) {
+    // The masked flag is a level property, not a rank property, so every
+    // rank runs the same collective sweep either way.
+    if (smooth_masked) {
+      smoother.smooth_rows(be, op, smooth_rows_local, b_local, x_local);
+    } else {
+      smoother.smooth(be, op, b_local, x_local);
+    }
+  });
 }
 
 DistHierarchy DistHierarchy::build(parx::Comm& comm,
@@ -290,26 +200,18 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
                      static_cast<double>(dl.a.local_matrix().vals.size()), l);
   }
 
-  // Smoothers / coarse factorization.
+  // Smoothers / coarse factorization: the serial hierarchy's level setup,
+  // on this rank's local diagonal block and the gathered coarsest matrix.
   for (int l = 0; l < nl; ++l) {
     DistMgLevel& dl = h.levels_[l];
-    const bool coarsest = l + 1 == nl;
-    if (coarsest && nl > 1) {
-      // The coarsest operator has constant size (§5): gather it and
-      // factor redundantly on every rank — LU when the serial options ask
-      // for the non-symmetric coarse solve, LDL^T otherwise.
-      if (mo.coarse_solver == mg::CoarseSolverKind::kDenseLu) {
-        dl.direct_lu = factor_coarse_lu(dist_gather_matrix(comm, dl.a));
-      } else {
-        dl.direct = factor_coarse(dist_gather_matrix(comm, dl.a));
-      }
+    if (l + 1 == nl && nl > 1) {
+      mg::factor_coarsest(dist_gather_matrix(comm, dl.a), mo.coarse_solver,
+                          dl.direct, dl.direct_lu);
       continue;
     }
-    dl.kind = mo.smoother == mg::SmootherKind::kSymGaussSeidel
-                  ? mg::SmootherKind::kBlockJacobi
-                  : mo.smoother;
-    dl.omega = mo.omega;
-    dl.local_diag = dl.a.local_diagonal_block();
+    dl.smoother = mg::level_smoother(ParxBackend{&comm}, DistOperatorRef(dl.a),
+                                     dl.a.local_diagonal_block(), mo,
+                                     dl.a.row_dist().begin(rank));
     // Local-smoothing mask (adaptive refinement levels): this rank's
     // slice of the serial MgLevel::smooth_rows, in local row numbering.
     // The masked flag is a property of the serial level, so it is
@@ -325,26 +227,6 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
       for (idx i = 0; i < nloc; ++i) {
         if (in_mask[h.perms_[l][b0 + i]]) dl.smooth_rows_local.push_back(i);
       }
-    }
-    switch (dl.kind) {
-      case mg::SmootherKind::kJacobi:
-        dl.inv_diag = la::inverted_diagonal(dl.local_diag);
-        break;
-      case mg::SmootherKind::kChebyshev: {
-        dl.inv_diag = la::inverted_diagonal(dl.local_diag);
-        dl.cheby_degree = std::max(1, mo.cheby_degree);
-        const real lambda = la::estimate_lambda_max(
-            ParxBackend{&comm}, DistOperatorRef(dl.a), dl.inv_diag,
-            dl.a.row_dist().begin(rank));
-        dl.cheby_lmax = 1.1 * std::max(lambda, real{1e-12});
-        dl.cheby_lmin = dl.cheby_lmax / 30;
-        break;
-      }
-      default:
-        dl.blocks = partition::block_jacobi_blocks(
-            graph_of_pattern(dl.local_diag), mo.bj_blocks_per_1000);
-        dl.factors = la::factor_diagonal_blocks(dl.local_diag, dl.blocks);
-        break;
     }
   }
   return h;

@@ -4,11 +4,13 @@
 // MIS chain makes coarse vertices fine vertices, so ownership is
 // inherited, exactly as in the paper's Prometheus); each level's operator
 // is the Galerkin triple product R A R^T computed on row-distributed
-// matrices (dla/dist_setup.h), smoothing is the backend-generic driver of
-// the configured kind (processor-block Jacobi by default), and the
-// constant-size coarsest problem is gathered and solved redundantly on
-// every rank (§5). Per-rank setup work scales with local rows: no rank
-// constructs a global-size operator at any level but the coarsest.
+// matrices (dla/dist_setup.h). Each level's smoother and the coarsest
+// factorization come from the same setup as the serial hierarchy's
+// (mg::level_smoother on the rank's local diagonal block — processor-
+// block Jacobi by default — and mg::factor_coarsest on the gathered
+// constant-size coarsest operator, solved redundantly on every rank, §5).
+// Per-rank setup work scales with local rows: no rank constructs a
+// global-size operator at any level but the coarsest.
 //
 // The cycles and PCG are the single backend-generic implementations
 // (mg/cycle_any.h, la/krylov_any.h) instantiated with ParxBackend — this
@@ -24,6 +26,7 @@
 #include "dla/dist_krylov.h"
 #include "dla/dist_mf.h"
 #include "la/dense.h"
+#include "la/smoothers.h"
 #include "mg/hierarchy.h"
 #include "mg/solver.h"
 
@@ -46,22 +49,13 @@ struct DistMgLevel {
   /// Galerkin products and the smoother diagonals.
   std::unique_ptr<DistMf> a_mf;
 
-  // Smoother data over the local rows (kSymGaussSeidel falls back to
-  // processor-block Jacobi — Gauss–Seidel does not parallelize).
-  mg::SmootherKind kind = mg::SmootherKind::kBlockJacobi;
-  la::Csr local_diag;               ///< owned rows x owned cols
-  std::vector<real> inv_diag;       ///< Jacobi / Chebyshev
-  std::vector<std::vector<idx>> blocks;
-  std::vector<la::DenseLdlt> factors;
-  real omega = 0.6;
-  int cheby_degree = 3;
-  real cheby_lmin = 0, cheby_lmax = 0;
+  /// The level smoother over the local rows (all but the coarsest level
+  /// of a multi-level hierarchy), built from the local diagonal block.
+  la::Smoother smoother;
 
   // Coarsest level: replicated dense factorization of the gathered
-  // (constant-size) operator; null on single-level hierarchies. LDL^T for
-  // symmetric chains, partial-pivoting LU when the serial hierarchy was
-  // built with CoarseSolverKind::kDenseLu (non-symmetric scalar classes);
-  // exactly one of the two is set on the coarsest level.
+  // (constant-size) operator by mg::factor_coarsest; null on single-level
+  // hierarchies. Exactly one of the two is set on the coarsest level.
   std::unique_ptr<la::DenseLdlt> direct;
   std::unique_ptr<la::DenseLu> direct_lu;
 
@@ -76,7 +70,7 @@ struct DistMgLevel {
 
   idx local_n() const { return a.local_rows(); }
 
-  /// One smoothing step of the configured kind on k columns (a single
+  /// One smoothing step of `smoother` on k columns (a single
   /// vector is the k=1 block): one exchange per operator application
   /// serves every column, and column j bitwise equals the k=1 step on
   /// that column. Collective.

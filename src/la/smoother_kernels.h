@@ -1,9 +1,10 @@
 // The single smoother-driver implementations, templated over an execution
-// backend (la/backend.h). The serial Smoother classes (la/smoothers.h) and
-// the distributed per-level smoothers (dla/dist_mg.cpp) both delegate
-// here, so a smoothing step is the same arithmetic — including the fixed
+// backend (la/backend.h). la::Smoother (la/smoothers.h) — the one smoother
+// type of the serial and the distributed hierarchies — dispatches here, so
+// a smoothing step is the same arithmetic — including the fixed
 // parallel_for grains of the intra-rank determinism contract — on every
-// backend; only the operator application communicates.
+// backend; only the operator application communicates. The point-block
+// sweeps are called directly on node-block operators.
 #pragma once
 
 #include <cmath>

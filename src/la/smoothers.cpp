@@ -3,85 +3,12 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/flops.h"
-#include "la/operator.h"
-#include "la/smoother_kernels.h"
-#include "la/vec.h"
 
 namespace prom::la {
+namespace {
 
-std::vector<real> inverted_diagonal(const Csr& a) {
-  std::vector<real> d = a.diagonal();
-  for (real& v : d) {
-    PROM_CHECK_MSG(v != real{0}, "smoother needs a nonzero diagonal");
-    v = real{1} / v;
-  }
-  return d;
-}
-
-JacobiSmoother::JacobiSmoother(const Csr& a, real omega)
-    : a_(&a), omega_(omega), inv_diag_(inverted_diagonal(a)) {
-  PROM_CHECK(a.nrows == a.ncols);
-}
-
-void JacobiSmoother::smooth(BlockCRef b, BlockRef x) const {
-  jacobi_sweep(SerialBackend{}, CsrOperator(*a_), inv_diag_, omega_, b, x);
-}
-
-SymmetricGaussSeidel::SymmetricGaussSeidel(const Csr& a)
-    : a_(&a), inv_diag_(inverted_diagonal(a)) {
-  PROM_CHECK(a.nrows == a.ncols);
-}
-
-// Gauss–Seidel is inherently sequential (each row update reads the
-// previous ones), so it stays a serial-only baseline with no backend-
-// generic driver; the distributed hierarchy substitutes processor-block
-// Jacobi, exactly as the paper's parallel smoother does.
-void SymmetricGaussSeidel::smooth(BlockCRef b, BlockRef x) const {
-  const idx n = a_->nrows;
-  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == b.cols());
-  for (int j = 0; j < b.cols(); ++j) {
-    const real* bj = b.col_data(j);
-    real* xj = x.col_data(j);
-    auto sweep_row = [&](idx i) {
-      real sum = bj[i];
-      for (nnz_t k = a_->rowptr[i]; k < a_->rowptr[i + 1]; ++k) {
-        const idx c = a_->colidx[k];
-        if (c != i) sum -= a_->vals[k] * xj[c];
-      }
-      xj[i] = sum * inv_diag_[i];
-    };
-    for (idx i = 0; i < n; ++i) sweep_row(i);
-    for (idx i = n - 1; i >= 0; --i) sweep_row(i);
-  }
-  count_flops((4 * a_->nnz() + 4LL * n) * b.cols());
-}
-
-BlockJacobiSmoother::BlockJacobiSmoother(const Csr& a,
-                                         std::vector<std::vector<idx>> blocks,
-                                         real omega)
-    : a_(&a), omega_(omega), blocks_(std::move(blocks)) {
-  PROM_CHECK(a.nrows == a.ncols);
-  // Verify the blocks partition [0, n).
-  std::vector<char> seen(static_cast<std::size_t>(a.nrows), 0);
-  idx total = 0;
-  for (const auto& block : blocks_) {
-    for (idx i : block) {
-      PROM_CHECK(i >= 0 && i < a.nrows);
-      PROM_CHECK_MSG(!seen[i], "block Jacobi blocks overlap");
-      seen[i] = 1;
-      ++total;
-    }
-  }
-  PROM_CHECK_MSG(total == a.nrows, "block Jacobi blocks must cover all rows");
-  factors_ = factor_diagonal_blocks(a, blocks_);
-}
-
-void BlockJacobiSmoother::smooth(BlockCRef b, BlockRef x) const {
-  block_jacobi_sweep(SerialBackend{}, CsrOperator(*a_), blocks_, factors_,
-                     omega_, b, x);
-}
-
+/// Extracts and factors (dense LDL^T) the diagonal blocks of `a` listed
+/// in `blocks`.
 std::vector<DenseLdlt> factor_diagonal_blocks(
     const Csr& a, std::span<const std::vector<idx>> blocks) {
   std::vector<DenseLdlt> factors;
@@ -97,7 +24,6 @@ std::vector<DenseLdlt> factor_diagonal_blocks(
     for (idx li = 0; li < bn; ++li) {
       const idx gi = block[li];
       for (nnz_t k = a.rowptr[gi]; k < a.rowptr[gi + 1]; ++k) {
-        if (a.colidx[k] >= a.nrows) continue;  // ghost column (dist levels)
         const idx lj = local_of[a.colidx[k]];
         if (lj != kInvalidIdx) blk(li, lj) = a.vals[k];
         if (a.colidx[k] == gi) max_diag = std::max(max_diag, a.vals[k]);
@@ -122,20 +48,40 @@ std::vector<DenseLdlt> factor_diagonal_blocks(
   return factors;
 }
 
-ChebyshevSmoother::ChebyshevSmoother(const Csr& a, int degree,
-                                     real eig_ratio)
-    : a_(&a), degree_(std::max(1, degree)),
-      inv_diag_(inverted_diagonal(a)) {
-  PROM_CHECK(a.nrows == a.ncols);
-  const real lambda = estimate_lambda_max(SerialBackend{}, CsrOperator(a),
-                                          inv_diag_, /*row_offset=*/0);
-  lmax_ = 1.1 * std::max(lambda, real{1e-12});
-  lmin_ = lmax_ / eig_ratio;
+}  // namespace
+
+std::vector<real> inverted_diagonal(const Csr& a) {
+  std::vector<real> d = a.diagonal();
+  for (real& v : d) {
+    PROM_CHECK_MSG(v != real{0}, "smoother needs a nonzero diagonal");
+    v = real{1} / v;
+  }
+  return d;
 }
 
-void ChebyshevSmoother::smooth(BlockCRef b, BlockRef x) const {
-  chebyshev_sweep(SerialBackend{}, CsrOperator(*a_), inv_diag_, degree_,
-                  lmin_, lmax_, b, x);
+Smoother::Smoother(const Csr& diag, SmootherKind kind, real omega,
+                   int degree, std::vector<std::vector<idx>> blocks)
+    : kind_(kind), omega_(omega), degree_(std::max(1, degree)) {
+  PROM_CHECK(diag.nrows == diag.ncols);
+  if (kind != SmootherKind::kBlockJacobi) {
+    inv_diag_ = inverted_diagonal(diag);
+    return;
+  }
+  // Verify the blocks partition [0, n).
+  std::vector<char> seen(static_cast<std::size_t>(diag.nrows), 0);
+  idx total = 0;
+  for (const auto& block : blocks) {
+    for (idx i : block) {
+      PROM_CHECK(i >= 0 && i < diag.nrows);
+      PROM_CHECK_MSG(!seen[i], "block Jacobi blocks overlap");
+      seen[i] = 1;
+      ++total;
+    }
+  }
+  PROM_CHECK_MSG(total == diag.nrows,
+                 "block Jacobi blocks must cover all rows");
+  blocks_ = std::move(blocks);
+  factors_ = factor_diagonal_blocks(diag, blocks_);
 }
 
 std::vector<std::vector<idx>> contiguous_blocks(idx n, idx nblocks) {

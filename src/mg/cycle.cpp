@@ -3,22 +3,14 @@
 namespace prom::mg {
 
 void HierarchyCycleView::coarse_solve(la::BlockCRef b, la::BlockRef x) const {
-  const MgLevel& lv = h->level(h->num_levels() - 1);
-  if (lv.sparse_direct == nullptr && lv.direct == nullptr &&
-      lv.direct_lu == nullptr) {
+  const int l = h->num_levels() - 1;
+  const MgLevel& lv = h->level(l);
+  if (lv.direct == nullptr && lv.direct_lu == nullptr) {
     // Single-level hierarchy: a few smoothing steps stand in.
-    for (int s = 0; s < 4; ++s) lv.smoother->smooth(b, x);
+    for (int s = 0; s < 4; ++s) smooth(l, b, x);
     return;
   }
-  for (int j = 0; j < b.cols(); ++j) {
-    if (lv.sparse_direct != nullptr) {
-      lv.sparse_direct->solve(b.col(j), x.col(j));
-    } else if (lv.direct != nullptr) {
-      lv.direct->solve(b.col(j), x.col(j));
-    } else {
-      lv.direct_lu->solve(b.col(j), x.col(j));
-    }
-  }
+  solve_coarsest(lv.direct.get(), lv.direct_lu.get(), b, x);
 }
 
 void vcycle(const Hierarchy& h, int level, std::span<const real> b,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "la/operator.h"
 #include "mg/cycle_any.h"
 #include "mg/hierarchy.h"
 
@@ -32,20 +33,11 @@ struct HierarchyCycleView {
   int post_smooth() const { return h->options().post_smooth; }
   void smooth(int l, la::BlockCRef b, la::BlockRef x) const {
     const MgLevel& lv = h->level(l);
+    const la::CsrOperator a(lv.a);
     if (lv.smooth_rows.empty()) {
-      lv.smoother->smooth(b, x);
-      return;
-    }
-    // Local smoothing (adaptive refinement levels): run the configured
-    // smoother on a scratch copy and keep only the refined-region rows —
-    // identical update on those rows to the full sweep, identity
-    // elsewhere, for any smoother kind.
-    la::MultiVec tmp(x);
-    lv.smoother->smooth(b, tmp);
-    for (int j = 0; j < x.cols(); ++j) {
-      const real* tj = tmp.col_data(j);
-      real* xj = x.col_data(j);
-      for (idx i : lv.smooth_rows) xj[i] = tj[i];
+      lv.smoother.smooth(la::SerialBackend{}, a, b, x);
+    } else {
+      lv.smoother.smooth_rows(la::SerialBackend{}, a, lv.smooth_rows, b, x);
     }
   }
   void apply_a(int l, la::BlockCRef x, la::BlockRef y) const {

@@ -1,6 +1,7 @@
 #include "mg/hierarchy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string_view>
@@ -8,42 +9,22 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "la/operator.h"
 #include "obs/trace.h"
 #include "partition/greedy.h"
 
 namespace prom::mg {
 namespace {
 
-/// Adjacency graph of a (structurally symmetric) sparse matrix.
-graph::Graph graph_of_matrix(const la::Csr& a) {
+/// Adjacency graph of a square sparse matrix's pattern.
+graph::Graph graph_of_pattern(const la::Csr& a) {
   std::vector<std::pair<idx, idx>> edges;
-  edges.reserve(static_cast<std::size_t>(a.nnz()));
   for (idx i = 0; i < a.nrows; ++i) {
     for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
       if (a.colidx[k] > i) edges.emplace_back(i, a.colidx[k]);
     }
   }
   return graph::Graph::from_edges(a.nrows, edges);
-}
-
-std::unique_ptr<la::Smoother> make_smoother(const la::Csr& a,
-                                            const MgOptions& opts) {
-  switch (opts.smoother) {
-    case SmootherKind::kJacobi:
-      return std::make_unique<la::JacobiSmoother>(a, opts.omega);
-    case SmootherKind::kSymGaussSeidel:
-      return std::make_unique<la::SymmetricGaussSeidel>(a);
-    case SmootherKind::kBlockJacobi: {
-      auto blocks = partition::block_jacobi_blocks(graph_of_matrix(a),
-                                                   opts.bj_blocks_per_1000);
-      return std::make_unique<la::BlockJacobiSmoother>(a, std::move(blocks),
-                                                       opts.omega);
-    }
-    case SmootherKind::kChebyshev:
-      return std::make_unique<la::ChebyshevSmoother>(a, opts.cheby_degree);
-  }
-  PROM_CHECK(false);
-  return nullptr;
 }
 
 }  // namespace
@@ -410,72 +391,71 @@ void Hierarchy::build_operators() {
     obs::counter_add("mg.nnz", static_cast<double>(levels_[l].a.nnz()), li);
   }
   for (std::size_t l = 0; l < levels_.size(); ++l) {
-    const bool coarsest = l + 1 == levels_.size();
-    levels_[l].smoother.reset();
-    levels_[l].direct.reset();
-    levels_[l].direct_lu.reset();
-    levels_[l].sparse_direct.reset();
-    levels_[l].a_bsr.reset();  // stale node-block view; enable_bsr rebuilds
-    if (coarsest && levels_.size() > 1 &&
-        opts_.coarse_solver == CoarseSolverKind::kDenseLu) {
-      // Partial-pivoting LU: the non-symmetric coarse solve. No shift
-      // escalation — pivoting handles anything short of exact
-      // singularity, which PROM_CHECK rejects.
-      const la::Csr& a = levels_[l].a;
-      la::DenseMatrix dense(a.nrows, a.ncols);
-      for (idx i = 0; i < a.nrows; ++i) {
-        for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-          dense(i, a.colidx[k]) = a.vals[k];
-        }
-      }
-      levels_[l].direct_lu = std::make_unique<la::DenseLu>(dense);
-      PROM_CHECK_MSG(levels_[l].direct_lu->ok(),
-                     "coarsest-level LU factorization failed (singular)");
-    } else if (coarsest && levels_.size() > 1 &&
-               opts_.coarse_solver == CoarseSolverKind::kSparseCholesky) {
-      const la::Csr& a = levels_[l].a;
-      levels_[l].sparse_direct = std::make_unique<la::SparseCholesky>(a);
-      if (!levels_[l].sparse_direct->ok()) {
-        real max_diag = 1;
-        for (real v : a.diagonal()) max_diag = std::max(max_diag, std::abs(v));
-        la::SparseCholOptions copts;
-        for (copts.shift = 1e-12 * max_diag;
-             !levels_[l].sparse_direct->ok(); copts.shift *= 10) {
-          *levels_[l].sparse_direct = la::SparseCholesky(a, copts);
-          PROM_CHECK_MSG(copts.shift < 1e30,
-                         "coarse sparse Cholesky shift escalation failed");
-        }
-        PROM_WARN("coarsest-level sparse factor required a diagonal shift");
-      }
-    } else if (coarsest && levels_.size() > 1) {
-      // Redundant dense factorization of the coarsest operator.
-      const la::Csr& a = levels_[l].a;
-      la::DenseMatrix dense(a.nrows, a.ncols);
-      for (idx i = 0; i < a.nrows; ++i) {
-        for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-          dense(i, a.colidx[k]) = a.vals[k];
-        }
-      }
-      levels_[l].direct = std::make_unique<la::DenseLdlt>(dense);
-      if (!levels_[l].direct->ok()) {
-        // Newton tangents can be mildly indefinite; shift to factorability
-        // (degrades the coarse solve, never correctness of PCG's answer).
-        real max_diag = 1;
-        for (idx i = 0; i < a.nrows; ++i) {
-          max_diag = std::max(max_diag, std::abs(dense(i, i)));
-        }
-        for (real shift = 1e-12 * max_diag; !levels_[l].direct->ok();
-             shift *= 10) {
-          la::DenseMatrix shifted = dense;
-          for (idx i = 0; i < a.nrows; ++i) shifted(i, i) += shift;
-          *levels_[l].direct = la::DenseLdlt(shifted);
-          PROM_CHECK_MSG(shift < 1e30, "coarse-level shift escalation failed");
-        }
-        PROM_WARN("coarsest-level operator required a diagonal shift");
-      }
+    MgLevel& lv = levels_[l];
+    lv.a_bsr.reset();  // stale node-block view; enable_bsr rebuilds
+    if (l + 1 == levels_.size() && levels_.size() > 1) {
+      factor_coarsest(lv.a, opts_.coarse_solver, lv.direct, lv.direct_lu);
     } else {
-      levels_[l].smoother = make_smoother(levels_[l].a, opts_);
+      lv.smoother = level_smoother(la::SerialBackend{}, la::CsrOperator(lv.a),
+                                   lv.a, opts_, /*row_offset=*/0);
     }
+  }
+}
+
+std::vector<std::vector<idx>> smoother_blocks(const la::Csr& diag,
+                                              const MgOptions& opts) {
+  if (opts.smoother != SmootherKind::kBlockJacobi) return {};
+  return partition::block_jacobi_blocks(graph_of_pattern(diag),
+                                        opts.bj_blocks_per_1000);
+}
+
+void factor_coarsest(const la::Csr& a, CoarseSolverKind kind,
+                     std::unique_ptr<la::DenseLdlt>& direct,
+                     std::unique_ptr<la::DenseLu>& direct_lu) {
+  direct.reset();
+  direct_lu.reset();
+  la::DenseMatrix dense(a.nrows, a.ncols);
+  for (idx i = 0; i < a.nrows; ++i) {
+    for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
+      dense(i, a.colidx[k]) = a.vals[k];
+    }
+  }
+  if (kind == CoarseSolverKind::kDenseLu) {
+    // Partial pivoting handles anything short of exact singularity, which
+    // the check rejects: no shift escalation.
+    direct_lu = std::make_unique<la::DenseLu>(dense);
+    PROM_CHECK_MSG(direct_lu->ok(),
+                   "coarsest-level LU factorization failed (singular)");
+    return;
+  }
+  direct = std::make_unique<la::DenseLdlt>(dense);
+  if (direct->ok()) return;
+  // Newton tangents can be mildly indefinite; shift to factorability
+  // (degrades the coarse solve, never correctness of PCG's answer).
+  real max_diag = 1;
+  for (idx i = 0; i < a.nrows; ++i) {
+    max_diag = std::max(max_diag, std::abs(dense(i, i)));
+  }
+  for (real shift = 1e-12 * max_diag; !direct->ok(); shift *= 10) {
+    la::DenseMatrix shifted = dense;
+    for (idx i = 0; i < a.nrows; ++i) shifted(i, i) += shift;
+    *direct = la::DenseLdlt(shifted);
+    PROM_CHECK_MSG(shift < 1e30, "coarse-level shift escalation failed");
+  }
+  PROM_WARN("coarsest-level operator required a diagonal shift");
+}
+
+void solve_coarsest(const la::DenseLdlt* direct, const la::DenseLu* direct_lu,
+                    la::BlockCRef b, la::BlockRef x) {
+  PROM_CHECK(b.rows() == x.rows() && b.cols() == x.cols());
+  const auto n = static_cast<std::size_t>(b.rows());
+  const std::span<const real> bs(b.data(), n * b.cols());
+  const std::span<real> xs(x.data(), n * x.cols());
+  if (direct != nullptr) {
+    direct->solve_mv(bs, xs, b.cols(), b.rows());
+  } else {
+    PROM_CHECK(direct_lu != nullptr);
+    direct_lu->solve_mv(bs, xs, b.cols(), b.rows());
   }
 }
 

@@ -2,7 +2,9 @@
 // coarsen::coarsen_level recursively to build grids and restriction
 // operators, forms the Galerkin coarse operators A_{l+1} = R A_l R^T (§3),
 // and equips each level with a smoother and the coarsest with a redundant
-// dense factorization.
+// dense factorization. The level setup (level_smoother, factor_coarsest,
+// solve_coarsest) is written once here and serves the distributed
+// hierarchy (dla::DistHierarchy) too.
 #pragma once
 
 #include <memory>
@@ -17,18 +19,12 @@
 #include "la/csr.h"
 #include "la/dense.h"
 #include "la/smoothers.h"
-#include "la/sparse_chol.h"
 #include "mesh/mesh.h"
 #include "mesh/refine.h"
 
 namespace prom::mg {
 
-enum class SmootherKind : std::uint8_t {
-  kJacobi,
-  kSymGaussSeidel,
-  kBlockJacobi,
-  kChebyshev,
-};
+using SmootherKind = la::SmootherKind;
 
 /// Storage format the solve phase applies operators in. kCsr is the
 /// scalar baseline (PETSc AIJ); kBsr3 re-blocks every level into dense
@@ -44,11 +40,11 @@ enum class MatrixFormat : std::uint8_t { kCsr, kBsr3, kMf };
 /// or empty means kCsr). Fails fast on an unknown value.
 MatrixFormat matrix_format_from_env();
 
-/// kDense / kSparseCholesky factor symmetric operators (LDL^T /
-/// Cholesky); kDenseLu is the general-matrix option required by the
-/// non-symmetric scalar classes (SUPG advection–diffusion), where the
-/// Galerkin coarse operators are non-symmetric too.
-enum class CoarseSolverKind : std::uint8_t { kDense, kSparseCholesky, kDenseLu };
+/// kDense factors symmetric operators (LDL^T); kDenseLu is the
+/// general-matrix option required by the non-symmetric scalar classes
+/// (SUPG advection–diffusion), where the Galerkin coarse operators are
+/// non-symmetric too.
+enum class CoarseSolverKind : std::uint8_t { kDense, kDenseLu };
 
 struct MgOptions {
   int max_levels = 12;
@@ -68,8 +64,7 @@ struct MgOptions {
   int pre_smooth = 1;             ///< paper: one pre-smoothing step
   int post_smooth = 1;            ///< paper: one post-smoothing step
 
-  /// Coarsest-level factorization; sparse Cholesky (with RCM) keeps the
-  /// redundant coarse solve cheap when coarsest_max_dofs is raised.
+  /// Coarsest-level factorization (factor_coarsest).
   CoarseSolverKind coarse_solver = CoarseSolverKind::kDense;
 };
 
@@ -84,10 +79,9 @@ struct MgLevel {
   /// Matrix-free element view of `a`, built by Hierarchy::enable_mf();
   /// level 0 only (coarse levels have no elements to integrate over).
   std::unique_ptr<fem::MatrixFreeOperator> a_mf;
-  std::unique_ptr<la::Smoother> smoother;        // all but coarsest
-  std::unique_ptr<la::DenseLdlt> direct;         // coarsest (dense mode)
-  std::unique_ptr<la::DenseLu> direct_lu;        // coarsest (dense LU mode)
-  std::unique_ptr<la::SparseCholesky> sparse_direct;  // coarsest (sparse)
+  la::Smoother smoother;                   // all but coarsest
+  std::unique_ptr<la::DenseLdlt> direct;   // coarsest (kDense)
+  std::unique_ptr<la::DenseLu> direct_lu;  // coarsest (kDenseLu)
 
   // Grid diagnostics (Figure 7 / DESIGN.md hierarchy stats).
   idx num_vertices = 0;
@@ -103,6 +97,36 @@ struct MgLevel {
   /// means smooth everywhere (every non-refinement level).
   std::vector<idx> smooth_rows;
 };
+
+/// The block-Jacobi blocks of a level when opts.smoother is kBlockJacobi
+/// (else none): a partition of the adjacency graph of `diag` (a square
+/// local diagonal block) at opts.bj_blocks_per_1000 (§7.2).
+std::vector<std::vector<idx>> smoother_blocks(const la::Csr& diag,
+                                              const MgOptions& opts);
+
+/// A level's smoother as `opts` selects it — the one level-smoother setup
+/// of the serial and the distributed hierarchy. `diag` is the level
+/// operator's local diagonal block, read only here (la::Smoother::build).
+template <class B, class Op>
+la::Smoother level_smoother(const B& be, const Op& a, const la::Csr& diag,
+                            const MgOptions& opts, idx row_offset) {
+  return la::Smoother::build(be, a, diag, opts.smoother, opts.omega,
+                             opts.cheby_degree, smoother_blocks(diag, opts),
+                             row_offset);
+}
+
+/// The coarsest level's redundant dense factorization of `a` (§5: the
+/// coarsest problem has constant size): partial-pivoting LU for kDenseLu,
+/// else LDL^T with diagonal-shift escalation should `a` be indefinite.
+/// Sets exactly one of `direct` / `direct_lu` and resets the other.
+void factor_coarsest(const la::Csr& a, CoarseSolverKind kind,
+                     std::unique_ptr<la::DenseLdlt>& direct,
+                     std::unique_ptr<la::DenseLu>& direct_lu);
+
+/// X = A^{-1} B on k columns through whichever coarsest factor is set,
+/// column j bitwise equal to the k=1 solve; b and x may be the same block.
+void solve_coarsest(const la::DenseLdlt* direct, const la::DenseLu* direct_lu,
+                    la::BlockCRef b, la::BlockRef x);
 
 class Hierarchy {
  public:

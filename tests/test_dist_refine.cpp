@@ -257,7 +257,9 @@ TEST_P(EquivRanks, RepartitionMeshMatchesFromGlobalPermuted) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, EquivRanks, ::testing::Values(1, 2, 4, 8),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "p" + std::to_string(info.param);
+                           std::string name = "p";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // The full refine+solve pipeline — adaptive loop (estimate solves,

@@ -244,8 +244,7 @@ std::map<std::string, Record> compute_all() {
   }
   for (const auto& [name, kind] :
        {std::pair{"jacobi", SK::kJacobi},
-        std::pair{"chebyshev", SK::kChebyshev},
-        std::pair{"sgs", SK::kSymGaussSeidel}}) {
+        std::pair{"chebyshev", SK::kChebyshev}}) {
     const Problem prob = elasticity(kind);
     out[std::string("serial_pcg_csr_") + name] =
         serial_krylov(prob, solve_options());

@@ -208,7 +208,9 @@ TEST(Gmres, RightPreconditioningAccelerates) {
 
 TEST(Chebyshev, ReducesResidualAndIsSymmetricEnoughForCg) {
   const Csr a = poisson3d(5);
-  const ChebyshevSmoother smoother(a, 3);
+  const CsrOperator op(a);
+  const Smoother smoother = Smoother::build(SerialBackend{}, op, a,
+                                            SmootherKind::kChebyshev, 0, 3);
   EXPECT_GT(smoother.lambda_max(), 0.5);
   std::vector<real> b(a.nrows, 1.0), x(a.nrows, 0.0);
   std::vector<real> r(a.nrows);
@@ -219,7 +221,7 @@ TEST(Chebyshev, ReducesResidualAndIsSymmetricEnoughForCg) {
   };
   real prev = resnorm();
   for (int step = 0; step < 8; ++step) {
-    smoother.smooth(b, x);
+    smoother.smooth(SerialBackend{}, op, b, x);
     const real now = resnorm();
     EXPECT_LT(now, prev);
     prev = now;
@@ -228,11 +230,15 @@ TEST(Chebyshev, ReducesResidualAndIsSymmetricEnoughForCg) {
 
 TEST(Chebyshev, HigherDegreeSmoothsMorePerStep) {
   const Csr a = poisson3d(5);
-  const ChebyshevSmoother deg1(a, 1), deg4(a, 4);
+  const CsrOperator op(a);
+  const Smoother deg1 = Smoother::build(SerialBackend{}, op, a,
+                                        SmootherKind::kChebyshev, 0, 1);
+  const Smoother deg4 = Smoother::build(SerialBackend{}, op, a,
+                                        SmootherKind::kChebyshev, 0, 4);
   std::vector<real> b(a.nrows, 1.0);
   std::vector<real> x1(a.nrows, 0.0), x4(a.nrows, 0.0), r(a.nrows);
-  deg1.smooth(b, x1);
-  deg4.smooth(b, x4);
+  deg1.smooth(SerialBackend{}, op, b, x1);
+  deg4.smooth(SerialBackend{}, op, b, x4);
   auto resnorm = [&](std::span<const real> x) {
     a.spmv(x, r);
     waxpby(1, b, -1, r, r);

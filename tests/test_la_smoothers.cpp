@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "la/operator.h"
 #include "la/smoothers.h"
 #include "la/vec.h"
 #include "partition/greedy.h"
@@ -34,21 +35,33 @@ real residual_norm(const Csr& a, std::span<const real> b,
   return nrm2(r);
 }
 
-enum class Kind { kJacobi, kSgs, kBlockJacobi };
+/// A serial smoother bound to its matrix.
+struct Bound {
+  const Csr* a;
+  Smoother s;
+  void smooth(std::span<const real> b, std::span<real> x) const {
+    s.smooth(SerialBackend{}, CsrOperator(*a), b, x);
+  }
+};
+
+/// Builds a serial smoother on the whole matrix `a`.
+Bound serial(const Csr& a, SmootherKind kind, real omega,
+             std::vector<std::vector<idx>> blocks = {}) {
+  return {&a, Smoother::build(SerialBackend{}, CsrOperator(a), a, kind, omega,
+                              3, std::move(blocks))};
+}
+
+// The values keep the instantiated test names stable.
+enum class Kind { kJacobi = 0, kBlockJacobi = 2 };
 
 class SmootherKinds : public ::testing::TestWithParam<Kind> {
  protected:
-  std::unique_ptr<Smoother> make(const Csr& a) {
-    switch (GetParam()) {
-      case Kind::kJacobi:
-        return std::make_unique<JacobiSmoother>(a, 0.67);
-      case Kind::kSgs:
-        return std::make_unique<SymmetricGaussSeidel>(a);
-      case Kind::kBlockJacobi:
-        return std::make_unique<BlockJacobiSmoother>(
-            a, contiguous_blocks(a.nrows, 6), 0.6);
+  Bound make(const Csr& a) {
+    if (GetParam() == Kind::kJacobi) {
+      return serial(a, SmootherKind::kJacobi, 0.67);
     }
-    return nullptr;
+    return serial(a, SmootherKind::kBlockJacobi, 0.6,
+                  contiguous_blocks(a.nrows, 6));
   }
 };
 
@@ -58,7 +71,7 @@ TEST_P(SmootherKinds, EveryStepReducesResidual) {
   std::vector<real> b(100, 1.0), x(100, 0.0);
   real prev = residual_norm(a, b, x);
   for (int step = 0; step < 15; ++step) {
-    smoother->smooth(b, x);
+    smoother.smooth(b, x);
     const real now = residual_norm(a, b, x);
     EXPECT_LT(now, prev);
     prev = now;
@@ -74,7 +87,7 @@ TEST_P(SmootherKinds, FixedPointIsExactSolution) {
   std::vector<real> b(36);
   a.spmv(x_true, b);
   std::vector<real> x = x_true;
-  smoother->smooth(b, x);
+  smoother.smooth(b, x);
   for (idx i = 0; i < 36; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-12);
 }
 
@@ -98,7 +111,7 @@ TEST_P(SmootherKinds, DampsHighFrequencyFasterThanLow) {
       e[i] = std::sin(M_PI * k * (i + 1.0) / (n + 1.0));
     }
     x = e;  // error = x - 0
-    smoother->smooth(b, x);
+    smoother.smooth(b, x);
     return nrm2(x) / nrm2(e);
   };
   const real low = damping_of_mode(1);
@@ -108,27 +121,27 @@ TEST_P(SmootherKinds, DampsHighFrequencyFasterThanLow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, SmootherKinds,
-                         ::testing::Values(Kind::kJacobi, Kind::kSgs,
-                                           Kind::kBlockJacobi));
+                         ::testing::Values(Kind::kJacobi, Kind::kBlockJacobi));
 
 TEST(BlockJacobi, RejectsOverlappingBlocks) {
   const Csr a = poisson2d(3);
   std::vector<std::vector<idx>> blocks = {{0, 1, 2}, {2, 3, 4},
                                           {5, 6, 7, 8}};
-  EXPECT_THROW(BlockJacobiSmoother(a, blocks), Error);
+  EXPECT_THROW(serial(a, SmootherKind::kBlockJacobi, 0.6, blocks), Error);
 }
 
 TEST(BlockJacobi, RejectsIncompleteCover) {
   const Csr a = poisson2d(3);
   std::vector<std::vector<idx>> blocks = {{0, 1, 2}};
-  EXPECT_THROW(BlockJacobiSmoother(a, blocks), Error);
+  EXPECT_THROW(serial(a, SmootherKind::kBlockJacobi, 0.6, blocks), Error);
 }
 
 TEST(BlockJacobi, SingleBlockIsDirectSolve) {
   // One block spanning everything: x_new = x + omega*(A^{-1} r); with
   // omega = 1 and x0 = 0 this is the exact solution.
   const Csr a = poisson2d(4);
-  BlockJacobiSmoother smoother(a, contiguous_blocks(16, 1), 1.0);
+  const Bound smoother =
+      serial(a, SmootherKind::kBlockJacobi, 1.0, contiguous_blocks(16, 1));
   std::vector<real> x_true(16, 2.0), b(16), x(16, 0.0);
   a.spmv(x_true, b);
   smoother.smooth(b, x);
@@ -147,8 +160,8 @@ TEST(BlockJacobi, GraphPartitionedBlocksMatchPaperDensity) {
   const auto blocks = partition::block_jacobi_blocks(g, 6);
   // ceil(6 * 400 / 1000) = 3 blocks.
   EXPECT_EQ(blocks.size(), 3u);
-  BlockJacobiSmoother smoother(a, blocks, 0.6);
-  EXPECT_EQ(smoother.num_blocks(), 3);
+  const Bound smoother = serial(a, SmootherKind::kBlockJacobi, 0.6, blocks);
+  EXPECT_EQ(smoother.s.num_blocks(), 3);
 }
 
 TEST(ContiguousBlocks, PartitionExactly) {

@@ -189,9 +189,8 @@ TEST(Hierarchy, UpdateFineMatrixRebuildsChain) {
 }
 
 TEST(MgOptions, SmootherKindsAllConverge) {
-  for (SmootherKind kind : {SmootherKind::kJacobi,
-                            SmootherKind::kSymGaussSeidel,
-                            SmootherKind::kBlockJacobi}) {
+  for (SmootherKind kind :
+       {SmootherKind::kJacobi, SmootherKind::kBlockJacobi}) {
     MgOptions opts;
     opts.smoother = kind;
     const BuiltProblem bp = build_box(6, opts);

@@ -106,7 +106,9 @@ TEST(ObsJson, EscapedRoundTripsAdversarialStrings) {
       "{\"json\": [\"inside\", 1]}",
   };
   for (const std::string& s : cases) {
-    const std::string doc = "\"" + obs::json::escaped(s) + "\"";
+    std::string doc = "\"";
+    doc += obs::json::escaped(s);
+    doc += '"';
     EXPECT_EQ(obs::json::Value::parse(doc).as_string(), s) << doc;
   }
 }

@@ -145,20 +145,6 @@ TEST(Sa, HandlesMaterialJumpProblem) {
   EXPECT_TRUE(res.converged);
 }
 
-TEST(Sa, SparseCoarseSolverWorksInHierarchy) {
-  const Built b = build_box(8);
-  MgOptions mo;
-  mo.coarsest_max_dofs = 500;
-  mo.coarse_solver = CoarseSolverKind::kSparseCholesky;
-  const Hierarchy h = Hierarchy::build(b.model.mesh, b.model.dofmap,
-                                       b.sys.stiffness, mo);
-  std::vector<real> x(b.sys.rhs.size(), 0.0);
-  MgSolveOptions so;
-  so.rtol = 1e-8;
-  const la::KrylovResult res = mg_pcg_solve(h, b.sys.rhs, x, so);
-  EXPECT_TRUE(res.converged);
-}
-
 TEST(Sa, ChebyshevSmootherWorksInHierarchy) {
   const Built b = build_box(8);
   MgOptions mo;

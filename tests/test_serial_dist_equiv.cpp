@@ -348,7 +348,9 @@ TEST_P(EquivRanks, ChebyshevPcgConverges) {
 // --gtest_filter='*/pN'.
 INSTANTIATE_TEST_SUITE_P(Ranks, EquivRanks, ::testing::Values(1, 2, 4, 8),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "p" + std::to_string(info.param);
+                           std::string name = "p";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -334,8 +334,14 @@ TEST(ServiceRefine, ScalarRejectsNodeBlockFormats) {
     SolveService service(small_config(2, format));
     service.register_problem("het", make_poisson_het_problem(4, 1e3));
     service.register_problem("adv", make_advdiff_problem(4, 10.0));
-    EXPECT_THROW(service.acquire("het"), prom::Error);
-    EXPECT_THROW(service.acquire("adv"), prom::Error);
+    // A failed build leaves no cache entry; acquire still counts the miss,
+    // since it counts before building.
+    std::int64_t misses = service.cache_misses();
+    for (const char* id : {"het", "adv"}) {
+      EXPECT_THROW(service.acquire(id), prom::Error);
+      EXPECT_EQ(service.cache_size(), 0u) << id;
+      EXPECT_EQ(service.cache_misses(), ++misses) << id;
+    }
     try {
       service.acquire("het");
       FAIL() << "scalar + non-CSR format must throw";
@@ -348,14 +354,19 @@ TEST(ServiceRefine, ScalarRejectsNodeBlockFormats) {
           << what;
       EXPECT_NE(what.find("elasticity-only"), std::string::npos) << what;
     }
-    // Elasticity keeps working in the same format.
+    // Elasticity keeps working in the same format, and its entry is the
+    // only one cached.
     service.register_problem("box", make_box_problem(4));
-    EXPECT_TRUE(service.solve({.mesh_id = "box"}).results[0].converged);
+    const SolveResponse box = service.solve({.mesh_id = "box", .rhs = {}});
+    EXPECT_TRUE(box.results[0].converged);
+    EXPECT_FALSE(box.cache_hit);
+    EXPECT_EQ(service.cache_size(), 1u);
   }
   // The supported scalar configuration still solves.
   SolveService csr(small_config(2, mg::MatrixFormat::kCsr));
   csr.register_problem("het", make_poisson_het_problem(4, 1e3));
-  EXPECT_TRUE(csr.solve({.mesh_id = "het"}).results[0].converged);
+  EXPECT_TRUE(
+      csr.solve({.mesh_id = "het", .rhs = {}}).results[0].converged);
 }
 
 TEST(ServiceSolve, ChunkingCoversWideBlocks) {

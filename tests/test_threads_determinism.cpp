@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "fem/assembly.h"
 #include "la/csr.h"
+#include "la/operator.h"
 #include "la/smoothers.h"
 #include "la/vec.h"
 #include "mesh/generate.h"
@@ -177,28 +178,33 @@ TEST(ThreadsDeterminism, SmoothersBitIdentical) {
   auto run = [&](int t) {
     return with_threads(t, [&] {
       std::vector<std::vector<real>> out;
+      const la::SerialBackend be;
+      const la::CsrOperator op(a);
       {
-        const la::JacobiSmoother jac(a, 0.7);
+        const la::Smoother jac =
+            la::Smoother::build(be, op, a, la::SmootherKind::kJacobi, 0.7);
         std::vector<real> x = x0;
-        jac.smooth(b, x);
-        jac.smooth(b, x);
+        jac.smooth(be, op, b, x);
+        jac.smooth(be, op, b, x);
         out.push_back(x);
       }
       {
-        // Constructor included: the power-iteration eigenvalue estimate
-        // must itself be thread-count invariant.
-        const la::ChebyshevSmoother cheb(a, 4);
+        // Build included: the power-iteration eigenvalue estimate must
+        // itself be thread-count invariant.
+        const la::Smoother cheb =
+            la::Smoother::build(be, op, a, la::SmootherKind::kChebyshev, 0, 4);
         std::vector<real> x = x0;
-        cheb.smooth(b, x);
-        cheb.smooth(b, x);
+        cheb.smooth(be, op, b, x);
+        cheb.smooth(be, op, b, x);
         out.push_back(x);
       }
       {
-        const la::BlockJacobiSmoother bj(
-            a, la::contiguous_blocks(a.nrows, 37), 0.6);
+        const la::Smoother bj =
+            la::Smoother::build(be, op, a, la::SmootherKind::kBlockJacobi, 0.6,
+                                3, la::contiguous_blocks(a.nrows, 37));
         std::vector<real> x = x0;
-        bj.smooth(b, x);
-        bj.smooth(b, x);
+        bj.smooth(be, op, b, x);
+        bj.smooth(be, op, b, x);
         out.push_back(x);
       }
       return out;
